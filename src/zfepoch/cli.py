@@ -119,6 +119,8 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_verify_egg(args, parser) -> int:
+    if not args.tolerance > 0.0:
+        parser.error(f"--tolerance must be positive, got {args.tolerance:g}")
     config = _filter_config(args, parser)
     detected = extract_epochs(zio.read_wav(args.audio), config)
     reference = egg_reference_epochs(zio.read_wav(args.egg))
@@ -189,7 +191,9 @@ def _cmd_synth(args, parser) -> int:
     except ZfepochError as exc:
         parser.error(str(exc))
     signal, truth = synth_voice(spec) if not args.raw_train else impulse_train(spec)
-    peak = np.max(np.abs(signal.samples)) if len(signal) else 0.0
+    if len(signal) == 0:
+        parser.error(f"--duration {args.duration:g} s holds no samples at {args.fs:g} Hz")
+    peak = np.max(np.abs(signal.samples))
     if peak > 1.0:
         # keep the 16-bit quantizer from clipping resonated impulses
         signal = SampledSignal(signal.samples / (peak * 1.0001), signal.sample_rate_hz)

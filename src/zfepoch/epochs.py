@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,42 +109,149 @@ def egg_reference_epochs(
     return EpochSequence(peaks.times_s[keep], peaks.source_sample_rate_hz)
 
 
+def _follow(links: list[int], g: int) -> int:
+    """The self-linked entry reached from g, linking the path straight to it."""
+    root = g
+    while links[root] != root:
+        root = links[root]
+    while links[g] != root:
+        links[g], g = root, links[g]
+    return root
+
+
+class _Groups:
+    """One side's distinct values, ascending, each with its unused members.
+
+    Equal values share every distance, so a group's lowest unused index
+    is always the one to pair next. NaN values are left out: they are
+    within no tolerance of anything.
+    """
+
+    def __init__(self, x: np.ndarray):
+        idx = np.flatnonzero(~np.isnan(x))
+        order = idx[np.argsort(x[idx], kind="stable")]
+        vals = x[order]
+        new_value = np.ones(len(vals), dtype=bool)
+        new_value[1:] = vals[1:] != vals[:-1]
+        starts = np.flatnonzero(new_value)
+        self.values = vals[starts].tolist()
+        self.members = order.tolist()
+        self.head = starts.tolist()
+        self.end = starts[1:].tolist() + [len(order)]
+        # Links past used-up groups, compressed as they are followed:
+        # _up leads to the nearest live group at or above g (len when
+        # none), _down, shifted by one, at or below g (-1 when none).
+        self._up = list(range(len(self.values) + 1))
+        self._down = list(range(len(self.values) + 1))
+
+    def live(self, g: int) -> bool:
+        return self.head[g] < self.end[g]
+
+    def first(self, g: int) -> int:
+        return self.members[self.head[g]]
+
+    def live_at_or_above(self, g: int) -> int:
+        return _follow(self._up, g)
+
+    def live_at_or_below(self, g: int) -> int:
+        return _follow(self._down, g + 1) - 1
+
+    def use_first(self, g: int) -> bool:
+        """Mark group g's lowest unused member used; True when g is used up."""
+        self.head[g] += 1
+        if self.head[g] < self.end[g]:
+            return False
+        self._up[g] = g + 1
+        self._down[g + 1] = g
+        return True
+
+
 def greedy_nearest_match(a: np.ndarray, b: np.ndarray, tolerance: float) -> list[tuple[int, int]]:
     """One-to-one greedy matching of two value sequences.
 
-    Candidate pairs within tolerance are taken nearest-first (ties in
-    order of position), each element used at most once. Returns index
-    pairs (i, j) into a and b.
+    Candidate pairs are those with d = |a_i - b_j| <= tolerance. They are
+    taken nearest first, ties going to the lower i and then the lower j,
+    and each element is used at most once. Returns index pairs (i, j)
+    into a and b, in the order they were taken. NaN values match
+    nothing; a negative or NaN tolerance matches nothing.
+
+    Uses O(n + m) memory for n = len(a) and m = len(b), and never forms
+    the n x m distance table. Each step costs O(log(n + m)) plus one
+    recomputation of a value's best partner per partner it loses. On
+    epoch times and intervals that is about two per value, but tight
+    clusters with a large tolerance can need hundreds. Distinct values whose distances from one value round to the same
+    float are scanned one by one on every step that reaches them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
-        return []
-    pairs_i = []
-    pairs_j = []
-    dists = []
-    # chunk the |a_i - b_j| table so dense sequences stay in bounded memory
-    chunk = max(1, int(4e6) // max(len(b), 1))
-    for lo in range(0, len(a), chunk):
-        block = np.abs(a[lo : lo + chunk, None] - b[None, :])
-        ii, jj = np.nonzero(block <= tolerance)
-        pairs_i.append(ii + lo)
-        pairs_j.append(jj)
-        dists.append(block[ii, jj])
-    cand_i = np.concatenate(pairs_i)
-    cand_j = np.concatenate(pairs_j)
-    cand_d = np.concatenate(dists)
-    order = np.lexsort((cand_j, cand_i, cand_d))
-    used_a = np.zeros(len(a), dtype=bool)
-    used_b = np.zeros(len(b), dtype=bool)
+    tol = float(tolerance)
+    A, B = _Groups(a), _Groups(b)
+    av, bv = A.values, B.values
+    nb = len(bv)
+    a_pos = np.searchsorted(np.asarray(bv), av).tolist()
+
+    def best_partner(g):
+        """Minimum (d, j, b group) over a group g's live partners, or None.
+
+        Rounded distance never decreases moving away from x, so a side's
+        candidates are its nearest live group and the groups right
+        behind it whose rounded distance is the same.
+        """
+        x = av[g]
+        pos = a_pos[g]
+        lo, hi = pos - 1, pos
+        if pos < nb and bv[pos] == x:
+            hi = pos + 1
+            d = abs(x - x)  # 0, or NaN when x is infinite
+            if d <= tol and B.live(pos):
+                return d, B.first(pos), pos
+        found = None
+        h = B.live_at_or_above(hi)
+        if h < nb:
+            d = abs(x - bv[h])
+            if d <= tol:
+                found = (d, B.first(h), h)
+                h = B.live_at_or_above(h + 1)
+                while h < nb and abs(x - bv[h]) == d:
+                    found = min(found, (d, B.first(h), h))
+                    h = B.live_at_or_above(h + 1)
+        h = B.live_at_or_below(lo)
+        if h >= 0:
+            d = abs(x - bv[h])
+            if d <= tol:
+                side = (d, B.first(h), h)
+                h = B.live_at_or_below(h - 1)
+                while h >= 0 and abs(x - bv[h]) == d:
+                    side = min(side, (d, B.first(h), h))
+                    h = B.live_at_or_below(h - 1)
+                found = side if found is None else min(found, side)
+        return found
+
+    # Heap entries are (d, i, j, a group, b group): i is the a group's
+    # lowest unused index and (d, j) its best partner when the entry was
+    # pushed. Each live a group has exactly one entry. Partners only get
+    # used up, so an entry's key never exceeds the group's current best;
+    # when its j was taken meanwhile, the group is recomputed and pushed
+    # again.
+    heap = []
+
+    def push(g):
+        found = best_partner(g)
+        if found is not None:
+            d, j, h = found
+            heapq.heappush(heap, (d, A.first(g), j, g, h))
+
+    for g in range(len(av)):
+        push(g)
     matches = []
-    for idx in order:
-        i = cand_i[idx]
-        j = cand_j[idx]
-        if not used_a[i] and not used_b[j]:
-            used_a[i] = True
-            used_b[j] = True
-            matches.append((int(i), int(j)))
+    while heap:
+        d, i, j, g, h = heapq.heappop(heap)
+        if B.live(h) and B.first(h) == j:
+            matches.append((i, j))
+            B.use_first(h)
+            if A.use_first(g):
+                continue
+        push(g)
     return matches
 
 
@@ -160,8 +268,8 @@ def evaluate(
         raise ValueError(f"tolerance_s must be positive, got {tolerance_s}")
     matches = greedy_nearest_match(detected.times_s, reference.times_s, tolerance_s)
     if matches:
-        errors = [abs(detected.times_s[i] - reference.times_s[j]) for i, j in matches]
-        mean_err = float(np.mean(errors))
+        i, j = np.array(matches).T
+        mean_err = float(np.mean(np.abs(detected.times_s[i] - reference.times_s[j])))
     else:
         mean_err = float("nan")
     return EvalReport(

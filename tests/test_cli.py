@@ -130,6 +130,24 @@ class TestUsageErrors:
                  "--out", tmp_path / "o.csv", "--method", "butterworth"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tolerance", ["0", "-0.5", "nan"])
+    def test_verify_egg_bad_tolerance_exits_2_before_reading(self, tmp_path, capsys,
+                                                             tolerance):
+        # neither WAV exists: reading one first would exit 1 instead
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-egg", "--audio", tmp_path / "a.wav", "--egg", tmp_path / "e.wav",
+                 "--tolerance", tolerance])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["0", "0.00001", "-1"])
+    def test_synth_without_samples_exits_2(self, tmp_path, duration):
+        out = tmp_path / "s.wav"
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--duration", duration, "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run([])

@@ -11,6 +11,7 @@ from zfepoch import (
     FilterConfig,
     SampledSignal,
     TooShort,
+    deltas,
     detect_negative_peaks,
     detect_positive_zero_crossings,
     egg_reference_epochs,
@@ -19,6 +20,31 @@ from zfepoch import (
     greedy_nearest_match,
     speaker,
     synth_voice,
+)
+from match_oracle import quadratic_greedy_match
+
+EVAL_TOLERANCE_S = 0.00025
+
+# Value pools for the property test: duplicate-heavy grids, dense
+# floats, values whose distances round to equal floats although the
+# values differ (±(1e16 + 2k) against small values, on either side;
+# zero against subnormals), values whose differences overflow to infinity, and
+# non-finite values.
+GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.5])
+DENSE = st.floats(min_value=-2.0, max_value=2.0, allow_subnormal=True)
+ROUNDING = st.sampled_from(
+    [s * (1e16 + 2.0 * k) for s in (1, -1) for k in range(4)]
+    + [0.0, -0.0, 5e-324, 1e-300, 1.0, 3.0]
+)
+HUGE = st.sampled_from([-1.7e308, -1e308, 0.0, 1e308, 1.7e308])
+NONFINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+VALUE_LISTS = st.one_of(
+    st.lists(GRID, max_size=60),
+    st.lists(st.one_of(GRID, DENSE, ROUNDING, HUGE, NONFINITE), max_size=30),
+)
+TOLERANCES = st.one_of(
+    st.sampled_from([0.0, -1.0, float("nan"), 1e300, float("inf"), 1e16, 1e-300]),
+    st.floats(min_value=0.0, max_value=3.0),
 )
 
 
@@ -175,6 +201,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(seq, seq, 0.0)
 
+    @pytest.mark.parametrize("name, seed", [("A", 21), ("B", 22)])
+    def test_mean_error_bit_identical_to_oracle(self, name, seed):
+        signal, truth = synth_voice(speaker(name, 10.0, seed=seed, noise_snr_db=20.0))
+        found = extract_epochs(signal, FilterConfig("zpzfr"))
+        rep = evaluate(found, truth, EVAL_TOLERANCE_S)
+        pairs = quadratic_greedy_match(found.times_s, truth.times_s, EVAL_TOLERANCE_S)
+        errors = [abs(found.times_s[i] - truth.times_s[j]) for i, j in pairs]
+        assert rep.matched_count == len(pairs) > len(truth) // 2
+        assert rep.mean_abs_error_s == float(np.mean(errors))
+
 
 class TestGreedyNearestMatch:
     def test_one_to_one(self):
@@ -189,6 +225,43 @@ class TestGreedyNearestMatch:
 
     def test_empty(self):
         assert greedy_nearest_match([], [1.0], 0.5) == []
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # every distance is 1: a_1 takes b_1 below it before b_2 above it
+            ([1.0, 1.0], [2.0, 0.0, 2.0], [(0, 0), (1, 1)]),
+            # |x - 1| and |x - 0| both round to 1e16, although 0 is nearer
+            ([-1e16], [1.0, 0.0], [(0, 0)]),
+            ([1e16], [-1.0, 0.0], [(0, 0)]),
+            # both distances overflow to inf
+            ([-1.7e308, -1e308], [1.7e308], [(0, 0)]),
+            # inf - inf is NaN, within no tolerance; inf away from 0 is within inf
+            ([-np.inf], [-np.inf, 0.0], [(0, 1)]),
+            ([np.inf], [0.0, np.inf], [(0, 0)]),
+        ],
+    )
+    def test_ties_go_to_lower_index(self, a, b, expected):
+        # hand-checked cases, each also what the oracle returns
+        assert greedy_nearest_match(a, b, np.inf) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=VALUE_LISTS, b=VALUE_LISTS, tolerance=TOLERANCES)
+    def test_same_pairs_as_oracle(self, a, b, tolerance):
+        assert greedy_nearest_match(a, b, tolerance) == quadratic_greedy_match(a, b, tolerance)
+
+    def test_dense_genuine_delta_pair_same_pairs_as_oracle(self):
+        # two 10 s utterances of one voice: most of the ~1.1k x 1.1k
+        # interval pairs lie within 0.5 ms of each other
+        test, lock = (
+            deltas(extract_epochs(synth_voice(speaker("A", 10.0, seed=s))[0],
+                                  FilterConfig("zpzfr"))).intervals_s
+            for s in (31, 32)
+        )
+        assert min(len(test), len(lock)) > 1000
+        pairs = greedy_nearest_match(test, lock, 0.0005)
+        assert len(pairs) > 0.9 * len(test)
+        assert pairs == quadratic_greedy_match(test, lock, 0.0005)
 
 
 class TestExtractEpochs:
