@@ -8,8 +8,8 @@ Three related methods share one recursion, a double pole near 0 Hz:
   Stable, but the pole pair bends the phase response, so detected
   epochs land with a systematic shift.
 * zff: the same cascade with r = 1. The poles sit on the unit circle,
-  the output grows like n^3, and a running-mean detrender recovers the
-  oscillation around zero. Linear phase.
+  and the running-mean detrender's zeros at z = 1 cancel them exactly,
+  so the whole filter runs as one FIR convolution. Linear phase.
 * zpzfr: the radius-r double-pole section applied forward and backward
   over the whole buffer, squaring the magnitude and cancelling the
   phase exactly. Non-causal, zero phase.
@@ -40,15 +40,6 @@ from .core import (
     WindowTooLarge,
     validate_signal,
 )
-
-# The zff recursion is run in segments on long signals: its output grows
-# as n^3, and past roughly a minute of audio the trend magnitude starts
-# eating double precision. Each segment is padded on both sides; the
-# truncated-history transient of the r=1 recursion is a cubic polynomial,
-# which two symmetric detrend passes annihilate exactly at points more
-# than 2N samples inside the padding.
-SEGMENT_THRESHOLD_S = 60.0
-SEGMENT_LENGTH_S = 10.0
 
 _TAIL_EPS = 1e-15
 
@@ -133,19 +124,17 @@ def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> Sam
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
-def _window_half_width(window_s: float, fs: float) -> int:
-    return int(round(window_s * fs / 2.0))
-
-
-def _detrend_array(x: np.ndarray, n_half: int) -> np.ndarray:
-    # Running mean over a +/- n_half window, truncated at the ends.
-    # Sums come from a direct convolution: a cumulative-sum shortcut
-    # cancels catastrophically against the huge r=1 trend.
-    width = 2 * n_half + 1
-    sums = np.convolve(x, np.ones(width), mode="same")
-    idx = np.arange(len(x))
-    counts = np.minimum(idx + n_half, len(x) - 1) - np.maximum(idx - n_half, 0) + 1
-    return x - sums / counts
+def _window_half_width(signal: SampledSignal, window_s: float) -> int:
+    # N for a detrend window of window_s seconds that fits in the signal
+    if not window_s > 0.0:
+        raise BadConfig(f"window_s must be positive, got {window_s}")
+    n_half = int(round(window_s * signal.sample_rate_hz / 2.0))
+    if len(signal) <= 2 * n_half + 1:
+        raise WindowTooLarge(
+            f"detrend window of {2 * n_half + 1} samples does not fit in "
+            f"signal of {len(signal)} samples"
+        )
+    return n_half
 
 
 def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
@@ -155,16 +144,14 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
     and is truncated where it overhangs the signal ends.
     """
     validate_signal(signal)
-    if not window_s > 0.0:
-        raise BadConfig(f"window_s must be positive, got {window_s}")
-    n_half = _window_half_width(window_s, signal.sample_rate_hz)
-    if len(signal) <= 2 * n_half + 1:
-        raise WindowTooLarge(
-            f"detrend window of {2 * n_half + 1} samples does not fit in "
-            f"signal of {len(signal)} samples"
-        )
-    out = _detrend_array(signal.samples, n_half)
-    return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
+    n_half = _window_half_width(signal, window_s)
+    x = signal.samples
+    # Sums come from a direct convolution: a cumulative-sum shortcut
+    # cancels catastrophically against a large trend.
+    sums = np.convolve(x, np.ones(2 * n_half + 1), mode="same")
+    idx = np.arange(len(x))
+    counts = np.minimum(idx + n_half, len(x) - 1) - np.maximum(idx - n_half, 0) + 1
+    return SampledSignal(x - sums / counts, signal.sample_rate_hz, signal.start_time_s)
 
 
 def trim_ends(signal: SampledSignal, trim_s: float) -> SampledSignal:
@@ -240,45 +227,49 @@ def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
     return trim_ends(out, config.trim_s)
 
 
+def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
+    """FIR equal to `passes` detrend windows over the r = 1 cascade.
+
+    h = delta_N - 1/(2N+1) has a double zero at z = 1, so h / (1 - z^-1)^2
+    is the FIR q: the first 2N - 1 taps of h's double running sum. Each
+    pass beyond two adds a (1 - z^-1)^2 factor; one pass leaves two poles.
+    """
+    width = 2 * n_half + 1
+    h = np.full(width, -1.0 / width)
+    h[n_half] += 1.0
+    q = np.cumsum(np.cumsum(h))[: max(width - 2, 1)]
+    kernel = np.ones(1)
+    for _ in range(passes):
+        kernel = np.convolve(kernel, q)
+    for _ in range(passes - 2):
+        kernel = np.convolve(kernel, [1.0, -2.0, 1.0])
+    # windows of a sample or two leave the kernel shorter than its delay
+    return np.pad(kernel, (0, max(0, passes * n_half + 1 - len(kernel))))
+
+
 def zff_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
     """Unit-circle pipeline: difference, resonate at r=1, detrend, trim.
 
-    Long signals are processed in overlapping segments because the r=1
-    recursion grows without bound; see SEGMENT_THRESHOLD_S.
+    Resonator and detrend passes run as one convolution with _zff_kernel
+    whose sample i + passes*N is output sample i, so precision does not
+    depend on the input length. Samples at least passes*N from each end
+    (before the trim) equal resonating then detrending, to rounding.
+    Nearer the ends the kernel zero-extends the input where detrend
+    truncates its window; such samples survive only when
+    round(trim_s * fs) < passes*N: trim_s = 0, three or more passes, or
+    11.025 kHz at the defaults.
     """
     _require_method(config, "zff")
     validate_signal(signal)
     out = _preemphasized(signal, config)
-    if out.duration_s > SEGMENT_THRESHOLD_S:
-        detrended = _segmented_zff(out, config)
-    else:
-        detrended = _detrend_passes(cascaded_resonator(out, 1.0, order_pairs=2), config)
-    return trim_ends(detrended, config.trim_s)
-
-
-def _segmented_zff(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    fs = signal.sample_rate_hz
-    x = signal.samples
-    n_half = _window_half_width(config.detrend_window_s, fs)
-    seg = int(round(SEGMENT_LENGTH_S * fs))
-    # Padding must cover twice the edge trim and the detrend passes'
-    # contamination depth (passes * N samples), whichever is larger.
-    pad = max(
-        int(round(2.0 * config.trim_s * fs)),
-        config.detrend_passes * n_half + 2 * n_half + 2,
-    )
-    out = np.empty_like(x)
-    for start in range(0, len(x), seg):
-        stop = min(start + seg, len(x))
-        lo = max(start - pad, 0)
-        hi = min(stop + pad, len(x))
-        piece = x[lo:hi]
-        for _ in range(2):
-            piece = lfilter([1.0], _resonator_sos(1.0), piece)
-        for _ in range(config.detrend_passes):
-            piece = _detrend_array(piece, n_half)
-        out[start:stop] = piece[start - lo : stop - lo]
-    return SampledSignal(out, fs, signal.start_time_s)
+    passes = config.detrend_passes
+    n_half = _window_half_width(out, config.detrend_window_s)
+    offset = passes * n_half
+    y = np.convolve(out.samples, _zff_kernel(n_half, passes))[: offset + len(out)]
+    if passes == 1:
+        y = lfilter([1.0], _resonator_sos(1.0), y)
+    out = SampledSignal(y[offset:], out.sample_rate_hz, out.start_time_s)
+    return trim_ends(out, config.trim_s)
 
 
 def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
@@ -360,21 +351,16 @@ def pole_report(method: str, r: float) -> PoleReport:
         raise BadRadius(f"pole_report needs 0 < r <= 1, got {r}")
     if method == "zfr":
         poles = ((complex(r), 4),)
-        causal, phase_class = True, "nonlinear"
+        causal, phase_class, stable = True, "nonlinear", r < 1.0
     elif method == "zff":
         poles = ((complex(1.0), 4),)
-        causal, phase_class = True, "linear"
+        causal, phase_class, stable = True, "linear", False
     elif method == "zpzfr":
         if r >= 1.0:
             raise BadRadius("zpzfr needs r < 1 so the mirrored pole sits outside")
         poles = ((complex(r), 2), (complex(1.0 / r), 2))
-        causal, phase_class = False, "zero"
+        # stable: the mirrored pole at 1/r belongs to the anti-causal run
+        causal, phase_class, stable = False, "zero", True
     else:
         raise BadMethod(f"unknown method {method!r}")
-    # A non-causal zero-phase run is stable when the causal half is; its
-    # mirrored pole at 1/r belongs to the anti-causal direction.
-    if method == "zpzfr":
-        stable = r < 1.0
-    else:
-        stable = max(abs(p) for p, _ in poles) < 1.0
     return PoleReport(poles=poles, stable=stable, causal=causal, phase_class=phase_class)

@@ -33,38 +33,53 @@ class EmptyAudio(ZfepochError):
 
 
 class IoFailure(ZfepochError):
-    """Underlying filesystem write failed."""
+    """A file could not be written, or an epoch CSV could not be parsed."""
+
+
+_FMT = np.dtype([("tag", "<u2"), ("channels", "<u2"), ("rate", "<u4"),
+                 ("byte_rate", "<u4"), ("block_align", "<u2"), ("bits", "<u2")])
+# PCM is format tag 1, or tag 0xFFFE (extensible) with this SubFormat GUID
+# at bytes 24-40 of the fmt chunk
+_PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 
 
 def read_wav(path) -> SampledSignal:
     """Decode a 16-bit PCM WAV file to floats in [-1, 1).
 
-    Stereo files are accepted with a logged warning; channel 0 is used.
-    Other encodings (compressed, non-16-bit) are rejected.
+    Chunks other than fmt and data are skipped. A data chunk cut off by
+    the end of the file yields the whole frames present. Stereo files
+    are accepted with a logged warning; channel 0 is used. Other
+    encodings (compressed, non-16-bit) are rejected.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-    if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw[:4].tobytes() != b"RIFF" or raw[8:12].tobytes() != b"WAVE":
         raise NotWav(f"{path} is not a WAV file")
-    try:
-        with wave.open(str(path), "rb") as wav:
-            sampwidth = wav.getsampwidth()
-            channels = wav.getnchannels()
-            framerate = wav.getframerate()
-            nframes = wav.getnframes()
-            frames = wav.readframes(nframes)
-    except (wave.Error, EOFError) as exc:
-        raise UnsupportedEncoding(f"{path}: {exc}") from exc
-    if sampwidth != 2:
-        raise UnsupportedEncoding(f"{path}: only 16-bit PCM supported, got {8 * sampwidth}-bit")
-    if nframes == 0:
+    chunks = {}
+    pos = 12
+    while pos + 8 <= len(raw):
+        size = int(raw[pos + 4 : pos + 8].view("<u4")[0])
+        chunks.setdefault(raw[pos : pos + 4].tobytes(), raw[pos + 8 : pos + 8 + size])
+        pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
+    fmt_body, data = chunks.get(b"fmt ", raw[:0]), chunks.get(b"data")
+    if len(fmt_body) < _FMT.itemsize or data is None:
+        raise UnsupportedEncoding(f"{path}: fmt chunk and/or data chunk missing")
+    fmt = fmt_body[: _FMT.itemsize].view(_FMT)[0]
+    tag, channels, bits = int(fmt["tag"]), int(fmt["channels"]), int(fmt["bits"])
+    pcm = tag == 1 or (tag == 0xFFFE and fmt_body[24:40].tobytes() == _PCM_SUBFORMAT)
+    if not pcm or bits != 16 or channels == 0:
+        raise UnsupportedEncoding(
+            f"{path}: only 16-bit PCM supported, got format {tag:#x}, "
+            f"{bits}-bit, {channels} channels"
+        )
+    frames = len(data) // (2 * channels)
+    if frames == 0:
         raise EmptyAudio(f"{path} holds no audio frames")
-    data = np.frombuffer(frames, dtype="<i2")
+    samples = data[: 2 * channels * frames].view("<i2")
     if channels > 1:
         log.warning("%s has %d channels; using channel 0", path, channels)
-        data = data[::channels]
-    return SampledSignal(data.astype(np.float64) / _PCM16_SCALE, float(framerate))
+        samples = samples[::channels]
+    return SampledSignal(samples.astype(np.float64) / _PCM16_SCALE, float(fmt["rate"]))
 
 
 def write_wav(signal: SampledSignal, path) -> None:
@@ -82,27 +97,35 @@ def write_wav(signal: SampledSignal, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def write_epochs_csv(epochs: EpochSequence, path) -> None:
     """One epoch time per line in seconds, 6 decimals, header `time_s`."""
     lines = ["time_s"] + [f"{t:.6f}" for t in epochs.times_s]
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_epochs_csv(path, source_sample_rate_hz: float = 16000.0) -> EpochSequence:
     """Parse an epoch CSV written by write_epochs_csv.
 
-    The CSV carries no sample rate; the caller supplies one for the
-    record (the times alone drive all comparisons).
+    Times that are not numbers or not strictly increasing raise
+    IoFailure. The CSV carries no sample rate; the caller supplies one
+    for the record (the times alone drive all comparisons).
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows or rows[0][0] != "time_s":
-        raise IoFailure(f"{path} is not an epoch CSV (missing time_s header)")
-    times = np.array([float(row[0]) for row in rows[1:]])
-    return EpochSequence(times, source_sample_rate_hz)
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        if not rows or rows[0][0] != "time_s":
+            raise IoFailure(f"{path} is not an epoch CSV (missing time_s header)")
+        times = np.array([float(row[0]) for row in rows[1:]])
+        return EpochSequence(times, source_sample_rate_hz)
+    except (ValueError, csv.Error) as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
 
 
 def write_epochs_json(epochs: EpochSequence, config: FilterConfig, path) -> None:
@@ -116,10 +139,7 @@ def write_epochs_json(epochs: EpochSequence, config: FilterConfig, path) -> None
         "preemphasis": config.preemphasis,
         "times_s": [round(float(t), 9) for t in epochs.times_s],
     }
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_score_json(
@@ -135,10 +155,7 @@ def write_score_json(
         "epsilon_s": cfg.epsilon_s,
         "alignment": cfg.alignment,
     }
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_response_csv(response: FrequencyResponse, path) -> None:
@@ -146,7 +163,4 @@ def write_response_csv(response: FrequencyResponse, path) -> None:
     lines = ["omega,magnitude,phase"]
     for w, m, p in zip(response.omega_rad, response.magnitude, response.phase_rad):
         lines.append(f"{w:.12g},{m:.12g},{p:.12g}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n")

@@ -93,6 +93,29 @@ def decide(score: SimilarityScore, threshold: float) -> Decision:
     return Decision.CLOSED
 
 
+def _load_epochs(path: Path, config: LockConfig, locks) -> EpochSequence:
+    """Epochs of a lock or test WAV at the locks' rate; UnreadableAudio on any failure."""
+    rates = {e.source_sample_rate_hz for e in locks}
+    try:
+        signal = read_wav(path)
+        if rates and signal.sample_rate_hz not in rates:
+            raise UnreadableAudio(
+                f"sample rate {signal.sample_rate_hz} Hz does not match "
+                f"keyed locks at {sorted(rates)[0]} Hz"
+            )
+        return extract_epochs(signal, config.method)
+    except ZfepochError as exc:
+        raise UnreadableAudio(f"{path.name}: {exc}") from exc
+
+
+def _publish(watch_dir: Path, decision: Decision | None) -> None:
+    """Remove any signal file, then create the decision's, if any."""
+    for name in SIGNAL_NAMES.values():
+        (watch_dir / name).unlink(missing_ok=True)
+    if decision is not None:
+        (watch_dir / decision.signal_name).touch()
+
+
 class LockSession:
     """One keying/deciding state machine over a watch directory.
 
@@ -138,32 +161,17 @@ class LockSession:
         while target.exists():
             target = pen / f"{path.stem}.{n}{path.suffix}"
             n += 1
-        log.error("quarantining %s: %s", path.name, reason)
+        log.error("quarantining %s", reason)
         path.rename(target)
         self._last_sizes.pop(path.name, None)
 
     def _read_epochs(self, path: Path) -> EpochSequence | None:
         """Extract epochs, quarantining the file on any decode failure."""
         try:
-            signal = read_wav(path)
-            rates = {e.source_sample_rate_hz for e in self.lock_epochs.values()}
-            if rates and signal.sample_rate_hz not in rates:
-                raise UnreadableAudio(
-                    f"sample rate {signal.sample_rate_hz} Hz does not match "
-                    f"keyed locks at {sorted(rates)[0]} Hz"
-                )
-            return extract_epochs(signal, self.config.method)
-        except ZfepochError as exc:
+            return _load_epochs(path, self.config, self.lock_epochs.values())
+        except UnreadableAudio as exc:
             self._quarantine(path, exc)
             return None
-
-    def _clear_signals(self) -> None:
-        for name in SIGNAL_NAMES.values():
-            self._path(name).unlink(missing_ok=True)
-
-    def _publish(self, decision: Decision) -> None:
-        self._clear_signals()
-        self._path(decision.signal_name).touch()
 
     # -- protocol steps ------------------------------------------------
 
@@ -198,14 +206,14 @@ class LockSession:
         self.phase = Phase.DECIDING
         try:
             # a fresh test supersedes whatever was signalled before
-            self._clear_signals()
+            _publish(self.config.watch_dir, None)
             test_epochs = self._read_epochs(test_path)
             if test_epochs is None:
                 return None
             ordered = [self.lock_epochs[n] for n in self.config.lock_names()]
             score = confidence(test_epochs, ordered, self.config.match)
             decision = decide(score, self.config.threshold)
-            self._publish(decision)
+            _publish(self.config.watch_dir, decision)
             test_path.unlink(missing_ok=True)
             self._last_sizes.pop(TEST_FILE, None)
             log.info(
@@ -253,24 +261,13 @@ def verify_once(config: LockConfig) -> tuple[Decision, SimilarityScore]:
     if not test_path.exists():
         raise FileNotFoundError(f"no {TEST_FILE} in {config.watch_dir}")
 
-    def read(path: Path) -> EpochSequence:
-        try:
-            return extract_epochs(read_wav(path), config.method)
-        except ZfepochError as exc:
-            raise UnreadableAudio(f"{path.name}: {exc}") from exc
-
-    locks = [read(config.watch_dir / n) for n in config.lock_names()]
-    rates = {e.source_sample_rate_hz for e in locks}
-    if len(rates) > 1:
-        raise UnreadableAudio(f"lock files disagree on sample rate: {sorted(rates)}")
-    test_epochs = read(test_path)
-    if test_epochs.source_sample_rate_hz not in rates:
-        raise UnreadableAudio("test sample rate does not match lock files")
+    locks = []
+    for name in config.lock_names():
+        locks.append(_load_epochs(config.watch_dir / name, config, locks))
+    test_epochs = _load_epochs(test_path, config, locks)
     score = confidence(test_epochs, locks, config.match)
     decision = decide(score, config.threshold)
-    for name in SIGNAL_NAMES.values():
-        (config.watch_dir / name).unlink(missing_ok=True)
-    (config.watch_dir / decision.signal_name).touch()
+    _publish(config.watch_dir, decision)
     test_path.unlink(missing_ok=True)
     return decision, score
 

@@ -103,6 +103,15 @@ class TestExtract:
         assert len(ta) and len(tb)
         assert not (len(ta) == len(tb) and np.allclose(ta, tb))
 
+    @pytest.mark.parametrize("bad", ["0.1\nsoon\n", "0.3\n0.2\n"])
+    def test_bad_epoch_csv_is_processing_error(self, tmp_path, capsys, bad):
+        good = tmp_path / "good.csv"
+        write_epochs_csv(EpochSequence(np.arange(1, 10) * 0.01, 16000.0), good)
+        lock = tmp_path / "bad.csv"
+        lock.write_text("time_s\n" + bad)
+        assert run(["compare", "--lock", lock, "--test", good]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_input_is_processing_error(self, tmp_path, capsys):
         assert run(["extract", "--in", tmp_path / "ghost.wav",
                     "--out", tmp_path / "o.csv", "--method", "zff"]) == 1

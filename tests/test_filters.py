@@ -36,7 +36,7 @@ from zfepoch import (
     zfr_pipeline,
     zpzfr_pipeline,
 )
-from zfepoch.filters import SEGMENT_THRESHOLD_S
+from filter_oracle import SEGMENT_THRESHOLD_S, old_zff_pipeline
 
 
 def unit_impulse(n, fs=1000.0):
@@ -190,9 +190,9 @@ class TestZffBehavior:
                                    len(out) // 2 + int(0.005 * fs)]))
         assert last <= 10.0 * middle
 
-    def test_long_signal_segmentation_matches_direct(self):
-        # past the segmentation threshold the result must still carry
-        # epochs at the same instants as an unsegmented run
+    def test_long_signal_matches_segmented_oracle(self):
+        # past the old segmentation threshold the FIR must still carry
+        # epochs at the same instants as the segmented reference run
         fs = 2000.0
         duration = SEGMENT_THRESHOLD_S + 1.0
         spec_cfg = FilterConfig("zff")
@@ -200,28 +200,49 @@ class TestZffBehavior:
             SynthSpec(duration_s=duration, pitch_contour=100.0,
                       sample_rate_hz=fs, jitter_fraction=0.02, seed=5)
         )
-        segmented = zff_pipeline(train, spec_cfg)
+        fir = zff_pipeline(train, spec_cfg)
+        segmented = old_zff_pipeline(train, spec_cfg)
 
-        # replicate the pipeline without the segmented path
-        from zfepoch.filters import _detrend_passes, _preemphasized
-        direct = _preemphasized(train, spec_cfg)
-        direct = cascaded_resonator(direct, 1.0, 2)
-        direct = _detrend_passes(direct, spec_cfg)
-        direct = trim_ends(direct, spec_cfg.trim_s)
-
+        t_fir = detect_positive_zero_crossings(fir).times_s
         t_seg = detect_positive_zero_crossings(segmented).times_s
-        t_dir = detect_positive_zero_crossings(direct).times_s
-        assert len(t_seg) == len(t_dir)
-        assert np.max(np.abs(t_seg - t_dir)) <= 0.00025
-        # interior waveforms agree to the direct path's own float noise
-        rel = np.max(np.abs(segmented.samples - direct.samples))
-        assert rel / np.max(np.abs(direct.samples)) <= 1e-2
+        assert len(t_fir) == len(t_seg)
+        assert np.max(np.abs(t_fir - t_seg)) <= 0.00025
+        rel = np.max(np.abs(fir.samples - segmented.samples))
+        assert rel / np.max(np.abs(segmented.samples)) <= 1e-2
 
-    def test_short_signal_not_segmented(self):
-        sig, _ = synth_voice(speaker("A", 1.0, seed=3))
-        assert sig.duration_s < SEGMENT_THRESHOLD_S
-        out = zff_pipeline(sig, FilterConfig("zff"))
-        assert len(out) > 0
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("fs", [8000.0, 11025.0, 16000.0, 44100.0])
+    def test_fir_matches_cascade_then_detrend(self, passes, fs):
+        # untrimmed, so the edge zones of passes * N samples are visible;
+        # away from them the FIR and the direct reference agree
+        x = np.random.default_rng(passes).normal(size=int(0.12 * fs))
+        cfg = FilterConfig("zff", detrend_passes=passes, trim_s=0.0)
+        fir = zff_pipeline(SampledSignal(x, fs), cfg).samples
+        ref = old_zff_pipeline(SampledSignal(x, fs), cfg).samples
+        assert len(fir) == len(ref)
+        edge = passes * int(round(cfg.detrend_window_s * fs / 2.0))
+        inner = slice(edge, len(ref) - edge)
+        err = np.max(np.abs(fir[inner] - ref[inner]))
+        assert err <= 1e-7 * np.max(np.abs(ref[inner]))
+
+
+@pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+def test_output_independent_of_input_length(method):
+    # the last 2 s of a 30 s voice filtered alone must match the 30 s
+    # run away from the excerpt's edges: no stage may lose precision
+    # as the input grows
+    sig, _ = synth_voice(speaker("A", 30.0, seed=3))
+    fs = sig.sample_rate_hz
+    cut = len(sig) - int(2.0 * fs)
+    tail = SampledSignal(sig.samples[cut:], fs, start_time_s=cut / fs)
+    cfg = FilterConfig(method)
+    whole = run_pipeline(sig, cfg)
+    part = run_pipeline(tail, cfg)
+    shift = int(round((part.start_time_s - whole.start_time_s) * fs))
+    margin = int(0.25 * fs)
+    inner = part.samples[margin:-margin]
+    same = whole.samples[shift + margin : shift + len(part) - margin]
+    assert np.max(np.abs(same - inner)) <= 1e-9 * np.max(np.abs(inner))
 
 
 class TestZpzfrSymmetry:

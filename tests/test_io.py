@@ -36,6 +36,17 @@ def write_pcm16(path, data_int16, fs=16000, channels=1):
         wav.writeframes(np.asarray(data_int16, dtype="<i2").tobytes())
 
 
+def riff(*chunks):
+    """A RIFF/WAVE file of (id, body) chunks, each odd body padded."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def pcm_fmt(channels=1, fs=16000):
+    return struct.pack("<HHIIHH", 1, channels, fs, 2 * channels * fs, 2 * channels, 16)
+
+
 class TestReadWav:
     def test_header_passthrough(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -108,6 +119,61 @@ class TestReadWav:
         with pytest.raises(EmptyAudio):
             read_wav(path)
 
+    def test_extensible_pcm_header(self, tmp_path):
+        # WAVE_FORMAT_EXTENSIBLE with the PCM SubFormat GUID
+        guid = bytes.fromhex("0100000000001000800000aa00389b71")
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 22050, 44100, 2, 16, 22, 16, 4) + guid
+        data = np.array([1, -2, 3], dtype="<i2").tobytes()
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff((b"fmt ", fmt), (b"data", data)))
+        sig = read_wav(path)
+        assert sig.sample_rate_hz == 22050.0
+        assert np.array_equal(sig.samples, np.array([1, -2, 3]) / 32768.0)
+
+    def test_extensible_float_unsupported(self, tmp_path):
+        guid = bytes.fromhex("0300000000001000800000aa00389b71")  # IEEE float
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 8000, 16000, 2, 16, 22, 16, 4) + guid
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff((b"fmt ", fmt), (b"data", bytes(8))))
+        with pytest.raises(UnsupportedEncoding):
+            read_wav(path)
+
+    def test_list_chunk_before_data_skipped(self, tmp_path):
+        data = np.array([5, 6, 7, 8], dtype="<i2").tobytes()
+        path = tmp_path / "list.wav"
+        path.write_bytes(riff((b"fmt ", pcm_fmt()), (b"LIST", b"INFOISFT\4\0\0\0zf\0\0"),
+                              (b"data", data)))
+        assert np.array_equal(read_wav(path).samples, np.array([5, 6, 7, 8]) / 32768.0)
+
+    def test_odd_chunk_pad_byte_honoured(self, tmp_path):
+        # a 3-byte chunk is followed by one pad byte before the data chunk
+        data = np.array([-9, 9], dtype="<i2").tobytes()
+        path = tmp_path / "pad.wav"
+        path.write_bytes(riff((b"fmt ", pcm_fmt()), (b"junk", b"abc"), (b"data", data)))
+        assert np.array_equal(read_wav(path).samples, np.array([-9, 9]) / 32768.0)
+
+    def test_cut_off_odd_length_data_reads_whole_frames(self, tmp_path):
+        # the header promises 200 samples; the file ends one byte into the 6th
+        samples = np.arange(200, dtype="<i2")
+        full = riff((b"fmt ", pcm_fmt()), (b"data", samples.tobytes()))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(full[: 44 + 11])
+        sig = read_wav(path)
+        assert np.array_equal(sig.samples, samples[:5] / 32768.0)
+
+    def test_cut_off_before_a_whole_frame_is_empty(self, tmp_path):
+        full = riff((b"fmt ", pcm_fmt(channels=2)), (b"data", bytes(40)))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(full[: 44 + 3])
+        with pytest.raises(EmptyAudio):
+            read_wav(path)
+
+    def test_missing_data_chunk_unsupported(self, tmp_path):
+        path = tmp_path / "nodata.wav"
+        path.write_bytes(riff((b"fmt ", pcm_fmt())))
+        with pytest.raises(UnsupportedEncoding):
+            read_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_wav(tmp_path / "nope.wav")
@@ -134,6 +200,13 @@ class TestEpochsCsv:
     def test_reject_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frequency\n1.0\n")
+        with pytest.raises(IoFailure):
+            read_epochs_csv(path)
+
+    @pytest.mark.parametrize("body", ["0.1\nabc\n", "0.2\n0.1\n", "0.1\nnan\n"])
+    def test_bad_times_raise_io_failure(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s\n" + body)
         with pytest.raises(IoFailure):
             read_epochs_csv(path)
 

@@ -147,6 +147,18 @@ class TestDecisions:
         assert decisions == []
         assert (watch / "quarantine" / "test.wav").exists()
 
+    def test_cut_off_test_quarantined_session_keeps_running(self, keyed_session):
+        # a data chunk cut off at an odd byte count, too short to extract
+        session, watch = keyed_session
+        voiced_wav(watch / "whole.wav", "A", 2.0, 100)
+        whole = (watch / "whole.wav").read_bytes()
+        (watch / "test.wav").write_bytes(whole[: 44 + 101])
+        assert [d for d in settle(session) if d is not None] == []
+        assert (watch / "quarantine" / "test.wav").exists()
+        assert session.phase is Phase.KEYED
+        (watch / "whole.wav").rename(watch / "test.wav")
+        assert [d for d in settle(session) if d is not None] == [Decision.OPEN]
+
     def test_lock_removal_resets(self, keyed_session):
         session, watch = keyed_session
         (watch / "lock3.wav").unlink()
