@@ -18,6 +18,13 @@ All pipelines optionally first-difference the input (pre-emphasis),
 then filter, then detrend, then trim the edge anomaly. Each stage
 returns a new SampledSignal whose start_time_s keeps epoch times in
 original-recording coordinates.
+
+The filter stages run over blocks of _BLOCK samples and write into one
+preallocated output. Every SampledSignal array is read-only, and
+np.convolve and lfilter copy a read-only input whole before they start;
+block by block, only one block is copied at a time. So no stage holds
+more than its own input and output, and a whole extraction peaks at
+about two input-sized arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ from .core import (
 )
 
 _TAIL_EPS = 1e-15
+
+# samples per block in the filter stages; any size gives the same output
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,36 @@ def _resonator_sos(r: float) -> list[float]:
     return [1.0, -2.0 * r, r * r]
 
 
+def _lfilter_blocks(a, x: np.ndarray, out: np.ndarray, zi=None, reverse: bool = False):
+    """lfilter([1], a, x) into out, block by block; returns the final state.
+
+    zi is the initial state (zero if None). reverse runs from the last
+    sample to the first, as lfilter over x[::-1] would. out may be x.
+    """
+    if reverse:
+        x, out = x[::-1], out[::-1]
+    z = np.zeros(len(a) - 1) if zi is None else zi
+    for i in range(0, len(x), _BLOCK):
+        out[i : i + _BLOCK], z = lfilter([1.0], a, x[i : i + _BLOCK], zi=z)
+    return z
+
+
+def _convolve_blocks(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, offset: int) -> None:
+    """out[i] = np.convolve(x, kernel)[i + offset], block by block.
+
+    Needs offset + len(out) <= len(x) + len(kernel) - 1. Each block
+    convolves its slice of x plus the kernel's overlap, and never less
+    than len(kernel) samples: a shorter slice makes np.convolve swap its
+    operands and round differently from the whole-buffer convolution.
+    """
+    m = len(kernel)
+    for i in range(0, len(out), _BLOCK):
+        j = min(i + _BLOCK, len(out))
+        hi = min(j + offset, len(x))
+        lo = max(min(i + offset - m + 1, hi - m), 0)
+        out[i:j] = np.convolve(x[lo:hi], kernel)[i + offset - lo : j + offset - lo]
+
+
 def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> SampledSignal:
     """Run the double-pole recursion order_pairs times, zero initial state.
 
@@ -118,9 +158,15 @@ def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> Sam
     if int(order_pairs) != order_pairs or order_pairs < 1:
         raise BadConfig(f"order_pairs must be an integer >= 1, got {order_pairs}")
     a = _resonator_sos(float(r))
-    out = signal.samples
-    for _ in range(int(order_pairs)):
-        out = lfilter([1.0], a, out)
+    x = signal.samples
+    out = np.empty(len(x))
+    # every section runs on a block while it is in cache
+    states = [np.zeros(2) for _ in range(int(order_pairs))]
+    for i in range(0, len(x), _BLOCK):
+        y = x[i : i + _BLOCK]
+        for k, z in enumerate(states):
+            y, states[k] = lfilter([1.0], a, y, zi=z)
+        out[i : i + _BLOCK] = y
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
@@ -146,12 +192,18 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
     validate_signal(signal)
     n_half = _window_half_width(signal, window_s)
     x = signal.samples
+    width = 2 * n_half + 1
     # Sums come from a direct convolution: a cumulative-sum shortcut
     # cancels catastrophically against a large trend.
-    sums = np.convolve(x, np.ones(2 * n_half + 1), mode="same")
-    idx = np.arange(len(x))
-    counts = np.minimum(idx + n_half, len(x) - 1) - np.maximum(idx - n_half, 0) + 1
-    return SampledSignal(x - sums / counts, signal.sample_rate_hz, signal.start_time_s)
+    out = np.empty(len(x))
+    _convolve_blocks(x, np.ones(width), out, n_half)
+    # the window covers 2N + 1 samples except within N of either end
+    out[n_half : len(x) - n_half] /= width
+    counts = np.arange(n_half + 1, width)
+    out[:n_half] /= counts
+    out[len(x) - n_half :] /= counts[::-1]
+    np.subtract(x, out, out=out)
+    return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
 def trim_ends(signal: SampledSignal, trim_s: float) -> SampledSignal:
@@ -191,15 +243,17 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     The forward pass is let ring past the buffer end until its response
     decays below precision before the backward pass runs; truncating the
     tail instead leaves an asymmetric boundary transient far above the
-    zero-phase symmetry tolerance.
+    zero-phase symmetry tolerance. The ring-out only supplies the
+    backward pass's state at the buffer end; that pass then runs in
+    place over the forward output.
     """
     a = _resonator_sos(r)
-    tail = _ringout_length(r)
-    y, state = lfilter([1.0], a, x, zi=np.zeros(2))
-    ring, _ = lfilter([1.0], a, np.zeros(tail), zi=state)
-    y = np.concatenate([y, ring])
-    y = lfilter([1.0], a, y[::-1])[::-1]
-    return y[: len(x)]
+    y = np.empty(len(x))
+    state = _lfilter_blocks(a, x, y)
+    ring, _ = lfilter([1.0], a, np.zeros(_ringout_length(r)), zi=state)
+    _, state = lfilter([1.0], a, ring[::-1], zi=np.zeros(2))
+    _lfilter_blocks(a, y, y, zi=state, reverse=True)
+    return y
 
 
 def _require_method(config: FilterConfig, method: str) -> None:
@@ -211,19 +265,15 @@ def _preemphasized(signal: SampledSignal, config: FilterConfig) -> SampledSignal
     return differentiate(signal) if config.preemphasis else signal
 
 
-def _detrend_passes(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    for _ in range(config.detrend_passes):
-        signal = detrend(signal, config.detrend_window_s)
-    return signal
-
-
 def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
     """Causal radius-r pipeline: difference, resonate, detrend, trim."""
     _require_method(config, "zfr")
     validate_signal(signal)
     out = _preemphasized(signal, config)
     out = cascaded_resonator(out, config.r, order_pairs=2)
-    out = _detrend_passes(out, config)
+    # rebinding out frees each stage's array once the next has its output
+    for _ in range(config.detrend_passes):
+        out = detrend(out, config.detrend_window_s)
     return trim_ends(out, config.trim_s)
 
 
@@ -265,9 +315,12 @@ def zff_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
     passes = config.detrend_passes
     n_half = _window_half_width(out, config.detrend_window_s)
     offset = passes * n_half
-    y = np.convolve(out.samples, _zff_kernel(n_half, passes))[: offset + len(out)]
+    # the leading offset samples are dropped, but the passes == 1
+    # integrator needs them for its state
+    y = np.empty(offset + len(out))
+    _convolve_blocks(out.samples, _zff_kernel(n_half, passes), y, 0)
     if passes == 1:
-        y = lfilter([1.0], _resonator_sos(1.0), y)
+        _lfilter_blocks(_resonator_sos(1.0), y, y)
     out = SampledSignal(y[offset:], out.sample_rate_hz, out.start_time_s)
     return trim_ends(out, config.trim_s)
 
@@ -284,9 +337,11 @@ def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal
     if not 0.0 < config.r < 1.0:
         raise BadRadius(f"zpzfr needs 0 < r < 1, got {config.r}")
     out = _preemphasized(signal, config)
-    filtered = _zero_phase_double_pole(out.samples, config.r)
-    out = SampledSignal(filtered, out.sample_rate_hz, out.start_time_s)
-    out = _detrend_passes(out, config)
+    out = SampledSignal(
+        _zero_phase_double_pole(out.samples, config.r), out.sample_rate_hz, out.start_time_s
+    )
+    for _ in range(config.detrend_passes):
+        out = detrend(out, config.detrend_window_s)
     return trim_ends(out, config.trim_s)
 
 

@@ -5,7 +5,8 @@ through lockN.wav; once all are present the session is keyed. Each
 deposited test.wav is scored against every lock by near-equal delta
 counting, and the decision is published as an empty file named "1"
 (open) or "0" (closed). The test file is deleted after each decision,
-and deleting lock files resets the session to the waiting state.
+and deleting or replacing lock files resets the session to the waiting
+state.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def _load_epochs(path: Path, config: LockConfig, locks) -> EpochSequence:
         raise UnreadableAudio(f"{path.name}: {exc}") from exc
 
 
+def _file_id(st: os.stat_result) -> tuple[int, int, int]:
+    # a new file renamed over a lock has a new inode; one rewritten in
+    # place has a new mtime
+    return (st.st_size, st.st_mtime_ns, st.st_ino)
+
+
 def _publish(watch_dir: Path, decision: Decision | None) -> None:
     """Remove any signal file, then create the decision's, if any."""
     for name in SIGNAL_NAMES.values():
@@ -135,6 +142,8 @@ class LockSession:
         self.config = config
         self.phase = Phase.WAITING_FOR_LOCKS
         self.lock_epochs: dict[str, EpochSequence] = {}
+        # _file_id of each lock at the stat that admitted it
+        self._lock_ids: dict[str, tuple[int, int, int]] = {}
         self._last_sizes: dict[str, int] = {}
 
     # -- file helpers -------------------------------------------------
@@ -142,16 +151,16 @@ class LockSession:
     def _path(self, name: str) -> Path:
         return self.config.watch_dir / name
 
-    def _is_stable(self, path: Path) -> bool:
-        # present with the same size as on the previous poll
+    def _stable_stat(self, path: Path) -> os.stat_result | None:
+        """path's stat if it is present with the same size as on the previous poll."""
         try:
-            size = path.stat().st_size
+            st = path.stat()
         except OSError:
             self._last_sizes.pop(path.name, None)
-            return False
-        stable = self._last_sizes.get(path.name) == size
-        self._last_sizes[path.name] = size
-        return stable
+            return None
+        stable = self._last_sizes.get(path.name) == st.st_size
+        self._last_sizes[path.name] = st.st_size
+        return st if stable else None
 
     def _quarantine(self, path: Path, reason: Exception) -> None:
         pen = self._path(QUARANTINE_DIR)
@@ -175,33 +184,48 @@ class LockSession:
 
     # -- protocol steps ------------------------------------------------
 
+    def _changed_locks(self) -> list[str]:
+        """Admitted locks whose file is gone or is no longer the one admitted."""
+        changed = []
+        for name, admitted in self._lock_ids.items():
+            try:
+                current = _file_id(self._path(name).stat())
+            except OSError:
+                current = None
+            if current != admitted:
+                changed.append(name)
+        return changed
+
     def _key_step(self) -> None:
-        for name in list(self.lock_epochs):
-            if not self._path(name).exists():
-                del self.lock_epochs[name]
+        for name in self._changed_locks():
+            del self.lock_epochs[name], self._lock_ids[name]
+            self._last_sizes.pop(name, None)
         for name in self.config.lock_names():
             if name in self.lock_epochs:
                 continue
             path = self._path(name)
-            if path.exists() and self._is_stable(path):
+            st = self._stable_stat(path)
+            if st is not None:
                 epochs = self._read_epochs(path)
                 if epochs is not None:
                     self.lock_epochs[name] = epochs
+                    self._lock_ids[name] = _file_id(st)
         if len(self.lock_epochs) == self.config.lock_file_count:
             self.phase = Phase.KEYED
             log.info("all %d lock files processed; keyed", self.config.lock_file_count)
 
-    def _reset_if_locks_removed(self) -> None:
-        missing = [n for n in self.config.lock_names() if not self._path(n).exists()]
-        if missing:
-            log.info("lock files removed (%s); resetting", ", ".join(missing))
+    def _reset_if_locks_changed(self) -> None:
+        changed = self._changed_locks()
+        if changed:
+            log.info("lock files removed or replaced (%s); resetting", ", ".join(changed))
             self.phase = Phase.WAITING_FOR_LOCKS
             self.lock_epochs.clear()
+            self._lock_ids.clear()
             self._last_sizes.clear()
 
     def _decide_step(self) -> Decision | None:
         test_path = self._path(TEST_FILE)
-        if not test_path.exists() or not self._is_stable(test_path):
+        if self._stable_stat(test_path) is None:
             return None
         self.phase = Phase.DECIDING
         try:
@@ -227,7 +251,7 @@ class LockSession:
     def poll_once(self) -> Decision | None:
         """One scan of the watch directory; returns any published decision."""
         if self.phase is Phase.KEYED:
-            self._reset_if_locks_removed()
+            self._reset_if_locks_changed()
         if self.phase is Phase.WAITING_FOR_LOCKS:
             self._key_step()
             return None

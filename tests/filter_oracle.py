@@ -1,39 +1,67 @@
-"""Reference zff pipeline that runs the r = 1 cascade and then detrends.
+"""Reference filter pipelines, kept only so tests can hold the real ones to them.
 
-This is the pipeline's original implementation, kept only so tests can
-hold the single-FIR zff to it. The cascade's output grows like n^3, so
-the direct path loses precision as the input grows; past
+old_zff_pipeline is zff's original implementation: the r = 1 cascade,
+then the detrend passes. The cascade's output grows like n^3, so the
+direct path loses precision as the input grows; past
 SEGMENT_THRESHOLD_S it runs in padded segments instead. The truncated
 history of each segment leaves a cubic transient, which two symmetric
 detrend passes annihilate at points more than 2N samples inside the
 padding.
+
+whole_buffer_pipeline runs each method's stages over the whole buffer
+at once, as the pipelines did before they worked block by block. The
+block-wise stages do the same arithmetic in the same order, so their
+output must equal this one exactly.
 """
 
 import numpy as np
 from scipy.signal import lfilter
 
 from zfepoch import SampledSignal, differentiate, trim_ends
+from zfepoch.filters import _ringout_length, _zff_kernel
 
 SEGMENT_THRESHOLD_S = 60.0
 SEGMENT_LENGTH_S = 10.0
 
-_UNIT_SOS = [1.0, -2.0, 1.0]
+
+def _resonator_sos(r):
+    return [1.0, -2.0 * r, r * r]
 
 
-def _detrend_array(x, n_half):
-    # running mean over a +/- n_half window, truncated at the ends
-    width = 2 * n_half + 1
-    sums = np.convolve(x, np.ones(width), mode="same")
+def old_cascaded_resonator(x, r, order_pairs):
+    """The double-pole recursion order_pairs times over the whole buffer."""
+    for _ in range(order_pairs):
+        x = lfilter([1.0], _resonator_sos(r), x)
+    return x
+
+
+def old_detrend(x, n_half):
+    """Running mean over a +/- n_half window, truncated at the ends, subtracted."""
+    sums = np.convolve(x, np.ones(2 * n_half + 1), mode="same")
     idx = np.arange(len(x))
     counts = np.minimum(idx + n_half, len(x) - 1) - np.maximum(idx - n_half, 0) + 1
     return x - sums / counts
 
 
+def old_zero_phase_double_pole(x, r):
+    """One double-pole section forward, rung out, then backward."""
+    a = _resonator_sos(r)
+    tail = _ringout_length(r)
+    y, state = lfilter([1.0], a, x, zi=np.zeros(2))
+    ring, _ = lfilter([1.0], a, np.zeros(tail), zi=state)
+    y = np.concatenate([y, ring])
+    y = lfilter([1.0], a, y[::-1])[::-1]
+    return y[: len(x)]
+
+
+def _half_width(fs, config):
+    return int(round(config.detrend_window_s * fs / 2.0))
+
+
 def _cascade_and_detrend(x, n_half, passes):
-    for _ in range(2):
-        x = lfilter([1.0], _UNIT_SOS, x)
+    x = old_cascaded_resonator(x, 1.0, 2)
     for _ in range(passes):
-        x = _detrend_array(x, n_half)
+        x = old_detrend(x, n_half)
     return x
 
 
@@ -61,9 +89,35 @@ def old_zff_pipeline(signal, config):
     """
     pre = differentiate(signal) if config.preemphasis else signal
     fs = pre.sample_rate_hz
-    n_half = int(round(config.detrend_window_s * fs / 2.0))
+    n_half = _half_width(fs, config)
     if pre.duration_s > SEGMENT_THRESHOLD_S:
         y = _segmented(pre.samples, fs, n_half, config)
     else:
         y = _cascade_and_detrend(pre.samples, n_half, config.detrend_passes)
+    return trim_ends(SampledSignal(y, fs, pre.start_time_s), config.trim_s)
+
+
+def whole_buffer_pipeline(signal, config):
+    """config.method's pipeline with every stage over the whole buffer.
+
+    Assumes a valid config and an input long enough for the detrend
+    window and the trim.
+    """
+    pre = differentiate(signal) if config.preemphasis else signal
+    fs = pre.sample_rate_hz
+    n_half = _half_width(fs, config)
+    x = pre.samples
+    if config.method == "zff":
+        offset = config.detrend_passes * n_half
+        y = np.convolve(x, _zff_kernel(n_half, config.detrend_passes))[: offset + len(x)]
+        if config.detrend_passes == 1:
+            y = lfilter([1.0], _resonator_sos(1.0), y)
+        y = y[offset:]
+    else:
+        if config.method == "zfr":
+            y = old_cascaded_resonator(x, config.r, 2)
+        else:
+            y = old_zero_phase_double_pole(x, config.r)
+        for _ in range(config.detrend_passes):
+            y = old_detrend(y, n_half)
     return trim_ends(SampledSignal(y, fs, pre.start_time_s), config.trim_s)

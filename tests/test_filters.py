@@ -6,6 +6,7 @@ trim examples are evaluated by hand.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from zfepoch import (
     TrimTooLarge,
     WindowTooLarge,
     cascaded_resonator,
+    detect_negative_peaks,
     detect_positive_zero_crossings,
     detrend,
     differentiate,
@@ -36,7 +38,14 @@ from zfepoch import (
     zfr_pipeline,
     zpzfr_pipeline,
 )
-from filter_oracle import SEGMENT_THRESHOLD_S, old_zff_pipeline
+from filter_oracle import (
+    SEGMENT_THRESHOLD_S,
+    old_cascaded_resonator,
+    old_detrend,
+    old_zff_pipeline,
+    whole_buffer_pipeline,
+)
+from zfepoch.filters import _BLOCK, _zff_kernel
 
 
 def unit_impulse(n, fs=1000.0):
@@ -243,6 +252,87 @@ def test_output_independent_of_input_length(method):
     inner = part.samples[margin:-margin]
     same = whole.samples[shift + margin : shift + len(part) - margin]
     assert np.max(np.abs(same - inner)) <= 1e-9 * np.max(np.abs(inner))
+
+
+# the zff kernel has 477 taps at two passes of 15 ms at 16 kHz, and the
+# detrend window 241: 400 samples fit the window but not the kernel
+_KERNEL = len(_zff_kernel(120, 2))
+BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + _KERNEL, 400]
+
+
+def _epochs(filtered, method):
+    detect = detect_negative_peaks if method == "zpzfr" else detect_positive_zero_crossings
+    return detect(filtered).times_s
+
+
+class TestBlockwiseMatchesWholeBuffer:
+    """The block-wise stages against the whole-buffer oracle.
+
+    Every block convolves at least a kernel's worth of samples, so even
+    a last block of one sample does the whole buffer's arithmetic and
+    the block-edge lengths must match exactly.
+    """
+
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_voices_bit_identical(self, method, name):
+        sig, _ = synth_voice(speaker(name, 10.0, seed=5, noise_snr_db=20.0))
+        cfg = FilterConfig(method)
+        assert np.array_equal(run_pipeline(sig, cfg).samples,
+                              whole_buffer_pipeline(sig, cfg).samples)
+
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("trim_s", [0.0, 0.010])
+    @pytest.mark.parametrize("fs", [8000.0, 11025.0, 16000.0, 44100.0])
+    def test_configs(self, method, passes, trim_s, fs):
+        x = np.random.default_rng(passes).normal(size=_BLOCK + int(0.2 * fs))
+        sig = SampledSignal(x, fs)
+        cfg = FilterConfig(method, detrend_passes=passes, trim_s=trim_s)
+        got = run_pipeline(sig, cfg)
+        want = whole_buffer_pipeline(sig, cfg)
+        assert len(got) == len(want)
+        assert np.all(np.abs(got.samples - want.samples) <= 1e-12 * np.abs(want.samples))
+        assert got.start_time_s == want.start_time_s
+        assert np.array_equal(_epochs(got, method), _epochs(want, method))
+
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_block_edge_lengths(self, method, n):
+        sig = SampledSignal(np.random.default_rng(n).normal(size=n), 16000.0)
+        cfg = FilterConfig(method, trim_s=0.0)
+        assert np.array_equal(run_pipeline(sig, cfg).samples,
+                              whole_buffer_pipeline(sig, cfg).samples)
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("window_s", [0.005, 0.015])
+    def test_detrend(self, n, window_s):
+        x = np.cumsum(np.random.default_rng(n).normal(size=n))
+        got = detrend(SampledSignal(x, 16000.0), window_s).samples
+        assert np.array_equal(got, old_detrend(x, int(round(window_s * 16000.0 / 2.0))))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("r,pairs", [(0.97, 2), (1.0, 2), (0.9, 3)])
+    def test_cascaded_resonator(self, n, r, pairs):
+        x = np.random.default_rng(n).normal(size=n)
+        got = cascaded_resonator(SampledSignal(x, 16000.0), r, pairs).samples
+        assert np.array_equal(got, old_cascaded_resonator(x, r, pairs))
+
+
+@pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+def test_pipeline_peak_memory_within_two_and_a_half_inputs(method):
+    # no stage may hold more than its own input and output: a stage that
+    # copies a read-only input whole, or keeps a finished stage's array,
+    # reaches three or more input sizes
+    sig = SampledSignal(np.random.default_rng(9).normal(size=60 * 16000), 16000.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_pipeline(sig, FilterConfig(method))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sig.samples.nbytes
 
 
 class TestZpzfrSymmetry:

@@ -1,5 +1,6 @@
 """Watch-directory voice lock: keying, decisions, quarantine, reset."""
 
+import os
 import threading
 import time
 
@@ -18,9 +19,12 @@ from zfepoch import (
     WatchDirMissing,
     decide,
     env_overrides,
+    extract_epochs,
+    read_wav,
     run_daemon,
     verify_once,
 )
+from zfepoch import lock as lock_module
 from conftest import voiced_wav
 
 
@@ -169,6 +173,30 @@ class TestDecisions:
         voiced_wav(watch / "lock3.wav", "A", 2.0, 12)
         settle(session)
         assert session.phase is Phase.KEYED
+
+    def test_lock_replaced_in_place_rekeys(self, keyed_session, monkeypatch):
+        # same name and size, new file: the old epochs must not be scored
+        session, watch = keyed_session
+        voiced_wav(watch / "staged.wav", "B", 2.0, 203)
+        assert (watch / "staged.wav").stat().st_size == (watch / "lock3.wav").stat().st_size
+        new_epochs = extract_epochs(read_wav(watch / "staged.wav"), session.config.method)
+        os.replace(watch / "staged.wav", watch / "lock3.wav")
+        session.poll_once()
+        assert session.phase is Phase.WAITING_FOR_LOCKS
+        settle(session)
+        assert session.phase is Phase.KEYED
+
+        scored = []
+        real_confidence = lock_module.confidence
+
+        def spy(test, locks, match):
+            scored.append(locks)
+            return real_confidence(test, locks, match)
+
+        monkeypatch.setattr(lock_module, "confidence", spy)
+        voiced_wav(watch / "test.wav", "A", 2.0, 104)
+        assert [d for d in settle(session) if d is not None] == [Decision.OPEN]
+        assert np.array_equal(scored[0][2].times_s, new_epochs.times_s)
 
     def test_consecutive_rounds(self, keyed_session):
         session, watch = keyed_session
