@@ -48,10 +48,10 @@ for i, seed in enumerate((10, 11, 12, 13, 14), start=1):
 session = LockSession(LockConfig(watch_dir=watch, poll_interval_s=0.5))
 show("before any poll", session)
 
-# a file is only trusted once its size is unchanged between two polls,
-# so keying always takes at least two
+# a file is only trusted once its size, mtime and inode are unchanged
+# between two polls, so keying always takes at least two
 session.poll_once()
-show("poll 1 (sizes recorded)", session)
+show("poll 1 (file ids recorded)", session)
 session.poll_once()
 show("poll 2 (locks admitted)", session)
 
@@ -67,7 +67,8 @@ for _ in range(2):
     decision = session.poll_once()
 show(f"speaker B test -> {decision.value}", session)
 
-# removing a lock file invalidates the enrollment until it is restored
+# removing a lock file invalidates the enrollment until it is restored;
+# only the restored file is read again
 (watch / "lock3.wav").unlink()
 session.poll_once()
 show("lock3.wav removed", session)

@@ -19,6 +19,7 @@ from .core import (
     BadConfig,
     BadMethod,
     BadRadius,
+    BadSequence,
     BadSpec,
     DeltaSequence,
     EmptySignal,
@@ -88,7 +89,8 @@ from .synth import SynthSpec, impulse_train, speaker, synth_voice
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadConfig", "BadMethod", "BadRadius", "BadSpec", "DEFAULT_EPSILON_S",
+    "BadConfig", "BadMethod", "BadRadius", "BadSequence", "BadSpec",
+    "DEFAULT_EPSILON_S",
     "Decision", "DeltaSequence", "EmptyAudio", "EmptySignal", "EpochSequence",
     "EvalReport", "FilterConfig", "FrequencyResponse", "IoFailure",
     "LockConfig", "LockSession", "MatchConfig", "NoLocks", "NonFinite",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as zio
 from .compare import MatchConfig, delta12_count, deltas
-from .core import EpochSequence, FilterConfig, SampledSignal, ZfepochError
+from .core import DEFAULT_R, METHODS, EpochSequence, FilterConfig, SampledSignal, ZfepochError
 from .epochs import evaluate, egg_reference_epochs, extract_epochs
 from .filters import frequency_response, pole_report
 from .lock import (
@@ -35,14 +35,12 @@ EXIT_PROCESSING = 1
 EXIT_USAGE = 2
 EXIT_CLOSED = 3
 
-_METHODS = ("zfr", "zff", "zpzfr")
-
 
 def _add_filter_flags(sub: argparse.ArgumentParser, default_method: str | None) -> None:
     if default_method is None:
-        sub.add_argument("--method", required=True, choices=_METHODS)
+        sub.add_argument("--method", required=True, choices=METHODS)
     else:
-        sub.add_argument("--method", default=default_method, choices=_METHODS)
+        sub.add_argument("--method", default=default_method, choices=METHODS)
     sub.add_argument("--r", type=float, default=None,
                      help="pole radius (default 0.97; zff pins 1.0)")
     sub.add_argument("--window", type=float, default=15.0, metavar="MS",
@@ -72,14 +70,14 @@ def _filter_config(args, parser: argparse.ArgumentParser) -> FilterConfig:
             trim_s=None if args.trim is None else args.trim / 1000.0,
             preemphasis=pre,
         )
-    except (ZfepochError, ValueError) as exc:
+    except ZfepochError as exc:
         parser.error(str(exc))
 
 
 def _match_config(args, parser: argparse.ArgumentParser) -> MatchConfig:
     try:
         return MatchConfig(epsilon_s=args.epsilon / 1000.0, alignment=args.alignment)
-    except ValueError as exc:
+    except ZfepochError as exc:
         parser.error(str(exc))
 
 
@@ -134,7 +132,7 @@ def _cmd_verify_egg(args, parser) -> int:
 
 
 def _cmd_analyze(args, parser) -> int:
-    r = args.r if args.r is not None else (1.0 if args.method == "zff" else 0.97)
+    r = args.r if args.r is not None else (1.0 if args.method == "zff" else DEFAULT_R)
     try:
         omega = np.linspace(0.0, np.pi, args.points + 2)[1:-1]
         response = frequency_response(args.method, r, omega)
@@ -153,7 +151,7 @@ def _cmd_analyze(args, parser) -> int:
 def _cmd_lock(args, parser) -> int:
     try:
         env = env_overrides()
-    except ValueError as exc:
+    except ZfepochError as exc:
         parser.error(str(exc))
     watch_dir = args.dir or env.get("watch_dir")
     if watch_dir is None:
@@ -170,7 +168,7 @@ def _cmd_lock(args, parser) -> int:
             method=_filter_config(args, parser),
             match=_match_config(args, parser),
         )
-    except ValueError as exc:
+    except ZfepochError as exc:
         parser.error(str(exc))
     if args.once:
         decision, score = verify_once(config)
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_egg)
 
     p = sub.add_parser("analyze", help="frequency response CSV and pole report")
-    p.add_argument("--method", required=True, choices=_METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--out", required=True, metavar="resp.csv")
     p.add_argument("--points", type=int, default=512)

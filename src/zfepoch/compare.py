@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DeltaSequence, EpochSequence, NoLocks
+from .core import BadConfig, DeltaSequence, EpochSequence, NoLocks
 from .epochs import greedy_nearest_match
 
 DEFAULT_EPSILON_S = 0.0005
@@ -35,9 +35,9 @@ class MatchConfig:
 
     def __post_init__(self):
         if not self.epsilon_s > 0.0:
-            raise ValueError(f"epsilon_s must be positive, got {self.epsilon_s}")
+            raise BadConfig(f"epsilon_s must be positive, got {self.epsilon_s}")
         if self.alignment not in ALIGNMENTS:
-            raise ValueError(f"alignment must be one of {ALIGNMENTS}, got {self.alignment!r}")
+            raise BadConfig(f"alignment must be one of {ALIGNMENTS}, got {self.alignment!r}")
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,12 @@ class OmegaOutOfRange(ZfepochError):
     """Frequency grid point falls outside (0, pi]."""
 
 
-class BadConfig(ZfepochError):
+class BadConfig(ZfepochError, ValueError):
     """Configuration field has an illegal value."""
+
+
+class BadSequence(ZfepochError, ValueError):
+    """Epoch times or delta intervals are out of order or not positive."""
 
 
 class BadSpec(ZfepochError):
@@ -125,7 +129,7 @@ class EpochSequence:
         if times.ndim != 1:
             times = times.reshape(-1)
         if len(times) and not np.all(np.diff(times) > 0.0):
-            raise ValueError("epoch times must be strictly increasing")
+            raise BadSequence("epoch times must be strictly increasing")
         if not np.isfinite(self.source_sample_rate_hz) or self.source_sample_rate_hz <= 0.0:
             raise NonPositiveRate("source sample rate must be positive")
         times.flags.writeable = False
@@ -147,7 +151,7 @@ class DeltaSequence:
         if iv.ndim != 1:
             iv = iv.reshape(-1)
         if len(iv) and not np.all(iv > 0.0):
-            raise ValueError("delta intervals must be positive")
+            raise BadSequence("delta intervals must be positive")
         iv.flags.writeable = False
         object.__setattr__(self, "intervals_s", iv)
 

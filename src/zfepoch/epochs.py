@@ -179,8 +179,9 @@ def greedy_nearest_match(a: np.ndarray, b: np.ndarray, tolerance: float) -> list
     the n x m distance table. Each step costs O(log(n + m)) plus one
     recomputation of a value's best partner per partner it loses. On
     epoch times and intervals that is about two per value, but tight
-    clusters with a large tolerance can need hundreds. Distinct values whose distances from one value round to the same
-    float are scanned one by one on every step that reaches them.
+    clusters with a large tolerance can need hundreds. Distinct values
+    whose distances from one value round to the same float are scanned
+    one by one on every step that reaches them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -265,7 +266,7 @@ def evaluate(
     nothing matched).
     """
     if not tolerance_s > 0.0:
-        raise ValueError(f"tolerance_s must be positive, got {tolerance_s}")
+        raise BadConfig(f"tolerance_s must be positive, got {tolerance_s}")
     matches = greedy_nearest_match(detected.times_s, reference.times_s, tolerance_s)
     if matches:
         i, j = np.array(matches).T

@@ -67,7 +67,7 @@ class FrequencyResponse:
         mag = np.asarray(self.magnitude, dtype=np.float64)
         phase = np.asarray(self.phase_rad, dtype=np.float64)
         if not (omega.shape == mag.shape == phase.shape):
-            raise ValueError("omega, magnitude, phase must have equal length")
+            raise BadConfig("omega, magnitude, phase must have equal length")
         for arr, name in ((omega, "omega_rad"), (mag, "magnitude"), (phase, "phase_rad")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

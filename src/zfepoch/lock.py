@@ -4,9 +4,9 @@ A watch directory is the whole interface. Enrollment drops lock1.wav
 through lockN.wav; once all are present the session is keyed. Each
 deposited test.wav is scored against every lock by near-equal delta
 counting, and the decision is published as an empty file named "1"
-(open) or "0" (closed). The test file is deleted after each decision,
-and deleting or replacing lock files resets the session to the waiting
-state.
+(open) or "0" (closed). The test file is deleted after each decision.
+Deleting or replacing a lock file drops only that lock's epochs; the
+session waits until the new file is admitted, then decides again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .compare import MatchConfig, SimilarityScore, confidence
-from .core import EpochSequence, FilterConfig, NoLocks, ZfepochError
+from .core import BadConfig, EpochSequence, FilterConfig, NoLocks, ZfepochError
 from .epochs import extract_epochs
 from .io import read_wav
 
@@ -55,7 +55,6 @@ class Decision(enum.Enum):
 class Phase(enum.Enum):
     WAITING_FOR_LOCKS = "waiting_for_locks"
     KEYED = "keyed"
-    DECIDING = "deciding"
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,12 @@ class LockConfig:
     def __post_init__(self):
         object.__setattr__(self, "watch_dir", Path(self.watch_dir))
         if int(self.lock_file_count) != self.lock_file_count or self.lock_file_count < 1:
-            raise ValueError(f"lock_file_count must be an integer >= 1, got {self.lock_file_count}")
+            raise BadConfig(f"lock_file_count must be an integer >= 1, got {self.lock_file_count}")
         object.__setattr__(self, "lock_file_count", int(self.lock_file_count))
         if self.threshold < 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+            raise BadConfig(f"threshold must be >= 0, got {self.threshold}")
         if not self.poll_interval_s > 0.0:
-            raise ValueError(f"poll_interval_s must be positive, got {self.poll_interval_s}")
+            raise BadConfig(f"poll_interval_s must be positive, got {self.poll_interval_s}")
 
     def lock_names(self) -> list[str]:
         return [f"lock{i}.wav" for i in range(1, self.lock_file_count + 1)]
@@ -123,6 +122,21 @@ def _publish(watch_dir: Path, decision: Decision | None) -> None:
         (watch_dir / decision.signal_name).touch()
 
 
+def _decide_and_publish(
+    config: LockConfig, locks: list[EpochSequence], test_path: Path, test_epochs: EpochSequence
+) -> tuple[Decision, SimilarityScore]:
+    """Score a test against the ordered locks, publish the decision and consume the test file."""
+    score = confidence(test_epochs, locks, config.match)
+    decision = decide(score, config.threshold)
+    _publish(config.watch_dir, decision)
+    test_path.unlink(missing_ok=True)
+    log.info(
+        "decision %s (average %.4f vs threshold %s)",
+        decision.value, score.average, config.threshold,
+    )
+    return decision, score
+
+
 class LockSession:
     """One keying/deciding state machine over a watch directory.
 
@@ -130,37 +144,44 @@ class LockSession:
     one was published, letting tests drive the protocol without timing;
     run() adds the sleep loop.
 
-    A file is only processed once its size is unchanged between two
-    consecutive polls, so partially transferred uploads are never read.
-    Files that fail to decode are moved to a quarantine subdirectory and
-    the session keeps running.
+    A file is only processed once its size, mtime and inode are
+    unchanged between two consecutive polls, so partially transferred
+    uploads are never read. Every poll drops each admitted lock whose
+    file is gone or no longer the one admitted; only that lock is read
+    again. Files that fail to decode are moved to a quarantine
+    subdirectory and the session keeps running.
     """
 
     def __init__(self, config: LockConfig):
         if not config.watch_dir.is_dir():
             raise WatchDirMissing(f"watch directory {config.watch_dir} does not exist")
         self.config = config
-        self.phase = Phase.WAITING_FOR_LOCKS
         self.lock_epochs: dict[str, EpochSequence] = {}
-        # _file_id of each lock at the stat that admitted it
-        self._lock_ids: dict[str, tuple[int, int, int]] = {}
-        self._last_sizes: dict[str, int] = {}
+        # _file_id of each file at the previous poll; for an admitted
+        # lock, the id it was admitted with
+        self._seen: dict[str, tuple[int, int, int]] = {}
+
+    @property
+    def phase(self) -> Phase:
+        if len(self.lock_epochs) < self.config.lock_file_count:
+            return Phase.WAITING_FOR_LOCKS
+        return Phase.KEYED
 
     # -- file helpers -------------------------------------------------
 
     def _path(self, name: str) -> Path:
         return self.config.watch_dir / name
 
-    def _stable_stat(self, path: Path) -> os.stat_result | None:
-        """path's stat if it is present with the same size as on the previous poll."""
+    def _stable(self, name: str) -> bool:
+        """Whether the file is present with the same id as on the previous poll."""
         try:
-            st = path.stat()
+            current = _file_id(self._path(name).stat())
         except OSError:
-            self._last_sizes.pop(path.name, None)
-            return None
-        stable = self._last_sizes.get(path.name) == st.st_size
-        self._last_sizes[path.name] = st.st_size
-        return st if stable else None
+            self._seen.pop(name, None)
+            return False
+        stable = self._seen.get(name) == current
+        self._seen[name] = current
+        return stable
 
     def _quarantine(self, path: Path, reason: Exception) -> None:
         pen = self._path(QUARANTINE_DIR)
@@ -172,7 +193,7 @@ class LockSession:
             n += 1
         log.error("quarantining %s", reason)
         path.rename(target)
-        self._last_sizes.pop(path.name, None)
+        self._seen.pop(path.name, None)
 
     def _read_epochs(self, path: Path) -> EpochSequence | None:
         """Extract epochs, quarantining the file on any decode failure."""
@@ -184,76 +205,39 @@ class LockSession:
 
     # -- protocol steps ------------------------------------------------
 
-    def _changed_locks(self) -> list[str]:
-        """Admitted locks whose file is gone or is no longer the one admitted."""
-        changed = []
-        for name, admitted in self._lock_ids.items():
-            try:
-                current = _file_id(self._path(name).stat())
-            except OSError:
-                current = None
-            if current != admitted:
-                changed.append(name)
-        return changed
-
     def _key_step(self) -> None:
-        for name in self._changed_locks():
-            del self.lock_epochs[name], self._lock_ids[name]
-            self._last_sizes.pop(name, None)
+        """Drop each admitted lock that changed; admit each stable one not yet admitted."""
         for name in self.config.lock_names():
+            stable = self._stable(name)
             if name in self.lock_epochs:
-                continue
-            path = self._path(name)
-            st = self._stable_stat(path)
-            if st is not None:
-                epochs = self._read_epochs(path)
+                if not stable:
+                    log.info("%s removed or replaced; waiting for it again", name)
+                    del self.lock_epochs[name]
+            elif stable:
+                epochs = self._read_epochs(self._path(name))
                 if epochs is not None:
                     self.lock_epochs[name] = epochs
-                    self._lock_ids[name] = _file_id(st)
-        if len(self.lock_epochs) == self.config.lock_file_count:
-            self.phase = Phase.KEYED
-            log.info("all %d lock files processed; keyed", self.config.lock_file_count)
-
-    def _reset_if_locks_changed(self) -> None:
-        changed = self._changed_locks()
-        if changed:
-            log.info("lock files removed or replaced (%s); resetting", ", ".join(changed))
-            self.phase = Phase.WAITING_FOR_LOCKS
-            self.lock_epochs.clear()
-            self._lock_ids.clear()
-            self._last_sizes.clear()
+                    if self.phase is Phase.KEYED:
+                        log.info("all %d lock files processed; keyed", self.config.lock_file_count)
 
     def _decide_step(self) -> Decision | None:
         test_path = self._path(TEST_FILE)
-        if self._stable_stat(test_path) is None:
+        if not self._stable(TEST_FILE):
             return None
-        self.phase = Phase.DECIDING
-        try:
-            # a fresh test supersedes whatever was signalled before
-            _publish(self.config.watch_dir, None)
-            test_epochs = self._read_epochs(test_path)
-            if test_epochs is None:
-                return None
-            ordered = [self.lock_epochs[n] for n in self.config.lock_names()]
-            score = confidence(test_epochs, ordered, self.config.match)
-            decision = decide(score, self.config.threshold)
-            _publish(self.config.watch_dir, decision)
-            test_path.unlink(missing_ok=True)
-            self._last_sizes.pop(TEST_FILE, None)
-            log.info(
-                "decision %s (average %.4f vs threshold %s)",
-                decision.value, score.average, self.config.threshold,
-            )
-            return decision
-        finally:
-            self.phase = Phase.KEYED
+        # a fresh test supersedes whatever was signalled before
+        _publish(self.config.watch_dir, None)
+        test_epochs = self._read_epochs(test_path)
+        if test_epochs is None:
+            return None
+        locks = [self.lock_epochs[n] for n in self.config.lock_names()]
+        decision, _ = _decide_and_publish(self.config, locks, test_path, test_epochs)
+        self._seen.pop(TEST_FILE, None)
+        return decision
 
     def poll_once(self) -> Decision | None:
         """One scan of the watch directory; returns any published decision."""
-        if self.phase is Phase.KEYED:
-            self._reset_if_locks_changed()
+        self._key_step()
         if self.phase is Phase.WAITING_FOR_LOCKS:
-            self._key_step()
             return None
         return self._decide_step()
 
@@ -289,11 +273,7 @@ def verify_once(config: LockConfig) -> tuple[Decision, SimilarityScore]:
     for name in config.lock_names():
         locks.append(_load_epochs(config.watch_dir / name, config, locks))
     test_epochs = _load_epochs(test_path, config, locks)
-    score = confidence(test_epochs, locks, config.match)
-    decision = decide(score, config.threshold)
-    _publish(config.watch_dir, decision)
-    test_path.unlink(missing_ok=True)
-    return decision, score
+    return _decide_and_publish(config, locks, test_path, test_epochs)
 
 
 def env_overrides() -> dict:
@@ -306,5 +286,5 @@ def env_overrides() -> dict:
         try:
             overrides["threshold"] = float(raw)
         except ValueError:
-            raise ValueError(f"{ENV_THRESHOLD} must be a number, got {raw!r}") from None
+            raise BadConfig(f"{ENV_THRESHOLD} must be a number, got {raw!r}") from None
     return overrides

@@ -13,9 +13,15 @@ from zfepoch import (
     EmptySignal,
     EpochSequence,
     FilterConfig,
+    FrequencyResponse,
+    LockConfig,
+    MatchConfig,
     NonFinite,
     NonPositiveRate,
     SampledSignal,
+    ZfepochError,
+    env_overrides,
+    evaluate,
     validate_signal,
 )
 
@@ -139,3 +145,33 @@ class TestFilterConfig:
     def test_preemphasis_override(self):
         assert FilterConfig("zpzfr", preemphasis=True).preemphasis
         assert not FilterConfig("zff", preemphasis=False).preemphasis
+
+
+def _bad_env_threshold(monkeypatch, tmp_path):
+    monkeypatch.setenv("ZFEPOCH_THRESHOLD", "high")
+    env_overrides()
+
+
+_EPOCHS = EpochSequence(np.array([0.01, 0.02]), 16000.0)
+
+# every validation site outside FilterConfig, called with one illegal value
+INVALID_INPUTS = {
+    "epoch_times_not_increasing": lambda mp, tmp: EpochSequence(np.array([0.2, 0.1]), 16000.0),
+    "delta_not_positive": lambda mp, tmp: DeltaSequence(np.array([0.01, 0.0])),
+    "match_epsilon": lambda mp, tmp: MatchConfig(epsilon_s=0.0),
+    "match_alignment": lambda mp, tmp: MatchConfig(alignment="diagonal"),
+    "lock_file_count": lambda mp, tmp: LockConfig(watch_dir=tmp, lock_file_count=0),
+    "lock_threshold": lambda mp, tmp: LockConfig(watch_dir=tmp, threshold=-1.0),
+    "lock_poll_interval": lambda mp, tmp: LockConfig(watch_dir=tmp, poll_interval_s=0.0),
+    "evaluate_tolerance": lambda mp, tmp: evaluate(_EPOCHS, _EPOCHS, 0.0),
+    "env_threshold": _bad_env_threshold,
+    "frequency_response_shapes": lambda mp, tmp: FrequencyResponse(
+        np.ones(3), np.ones(2), np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INVALID_INPUTS))
+def test_invalid_input_raises_package_error(site, monkeypatch, tmp_path):
+    # ZfepochError is what the CLI turns into an exit code instead of a traceback
+    with pytest.raises(ZfepochError):
+        INVALID_INPUTS[site](monkeypatch, tmp_path)

@@ -1,4 +1,4 @@
-"""Watch-directory voice lock: keying, decisions, quarantine, reset."""
+"""Watch-directory voice lock: keying, decisions, quarantine, re-keying."""
 
 import os
 import threading
@@ -37,7 +37,7 @@ def deposit_locks(watch, count=5, speaker_name="A"):
 
 
 def settle(session, polls=4):
-    """Poll until sizes have been seen twice and files admitted."""
+    """Poll until file ids have been seen twice and files admitted."""
     out = []
     for _ in range(polls):
         out.append(session.poll_once())
@@ -82,10 +82,28 @@ class TestKeying:
         deposit_locks(tmp_path)
         session = LockSession(make_config(tmp_path))
         session.poll_once()
-        assert session.phase is Phase.WAITING_FOR_LOCKS  # sizes recorded once
+        assert session.phase is Phase.WAITING_FOR_LOCKS  # file ids recorded once
         session.poll_once()
         assert session.phase is Phase.KEYED
         assert len(session.lock_epochs) == 5
+
+    def test_same_size_rewrite_between_polls_not_admitted(self, tmp_path):
+        deposit_locks(tmp_path)
+        lock5 = tmp_path / "lock5.wav"
+        session = LockSession(make_config(tmp_path))
+        session.poll_once()
+        before = lock5.stat()
+        voiced_wav(lock5, "B", 2.0, 204)  # the upload is rewritten a second later
+        os.utime(lock5, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+        after = lock5.stat()
+        assert (after.st_size, after.st_ino) == (before.st_size, before.st_ino)
+        session.poll_once()
+        assert "lock5.wav" not in session.lock_epochs
+        assert session.phase is Phase.WAITING_FOR_LOCKS
+        session.poll_once()
+        assert session.phase is Phase.KEYED
+        rewritten = extract_epochs(read_wav(lock5), session.config.method)
+        assert np.array_equal(session.lock_epochs["lock5.wav"].times_s, rewritten.times_s)
 
     def test_unreadable_lock_quarantined(self, tmp_path):
         deposit_locks(tmp_path, count=4)
@@ -168,7 +186,7 @@ class TestDecisions:
         (watch / "lock3.wav").unlink()
         session.poll_once()
         assert session.phase is Phase.WAITING_FOR_LOCKS
-        assert session.lock_epochs == {}
+        assert sorted(session.lock_epochs) == ["lock1.wav", "lock2.wav", "lock4.wav", "lock5.wav"]
         # a fresh lock3 re-keys the session
         voiced_wav(watch / "lock3.wav", "A", 2.0, 12)
         settle(session)
@@ -197,6 +215,22 @@ class TestDecisions:
         voiced_wav(watch / "test.wav", "A", 2.0, 104)
         assert [d for d in settle(session) if d is not None] == [Decision.OPEN]
         assert np.array_equal(scored[0][2].times_s, new_epochs.times_s)
+
+    def test_replaced_lock_is_the_only_one_read_again(self, keyed_session, monkeypatch):
+        session, watch = keyed_session
+        extracted = []
+        real_extract = lock_module.extract_epochs
+
+        def counting_extract(signal, config):
+            extracted.append(signal)
+            return real_extract(signal, config)
+
+        monkeypatch.setattr(lock_module, "extract_epochs", counting_extract)
+        voiced_wav(watch / "staged.wav", "A", 2.0, 15)
+        os.replace(watch / "staged.wav", watch / "lock3.wav")
+        settle(session)
+        assert session.phase is Phase.KEYED
+        assert len(extracted) == 1
 
     def test_consecutive_rounds(self, keyed_session):
         session, watch = keyed_session
