@@ -117,6 +117,17 @@ def validate_signal(signal: SampledSignal) -> SampledSignal:
     return signal
 
 
+def positive_count(value, name: str) -> int:
+    """value as an int, or BadConfig unless it is a whole number >= 1."""
+    try:
+        whole = int(value) == value and value >= 1
+    except (TypeError, ValueError, OverflowError):  # int() of NaN, inf or a non-number
+        whole = False
+    if not whole:
+        raise BadConfig(f"{name} must be an integer >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EpochSequence:
     """Strictly increasing instants (seconds) marking glottal closures."""
@@ -222,9 +233,8 @@ class FilterConfig:
             raise BadConfig(f"detrend_window_s must be positive, got {self.detrend_window_s}")
         object.__setattr__(self, "detrend_window_s", float(self.detrend_window_s))
 
-        if int(self.detrend_passes) != self.detrend_passes or self.detrend_passes < 1:
-            raise BadConfig(f"detrend_passes must be an integer >= 1, got {self.detrend_passes}")
-        object.__setattr__(self, "detrend_passes", int(self.detrend_passes))
+        object.__setattr__(self, "detrend_passes",
+                           positive_count(self.detrend_passes, "detrend_passes"))
 
         trim = self.trim_s
         if trim is None:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .compare import MatchConfig, SimilarityScore, confidence
-from .core import BadConfig, EpochSequence, FilterConfig, NoLocks, ZfepochError
+from .core import BadConfig, EpochSequence, FilterConfig, NoLocks, ZfepochError, positive_count
 from .epochs import extract_epochs
 from .io import read_wav
 
@@ -70,13 +71,13 @@ class LockConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "watch_dir", Path(self.watch_dir))
-        if int(self.lock_file_count) != self.lock_file_count or self.lock_file_count < 1:
-            raise BadConfig(f"lock_file_count must be an integer >= 1, got {self.lock_file_count}")
-        object.__setattr__(self, "lock_file_count", int(self.lock_file_count))
-        if self.threshold < 0.0:
+        object.__setattr__(self, "lock_file_count",
+                           positive_count(self.lock_file_count, "lock_file_count"))
+        if not self.threshold >= 0.0:
             raise BadConfig(f"threshold must be >= 0, got {self.threshold}")
-        if not self.poll_interval_s > 0.0:
-            raise BadConfig(f"poll_interval_s must be positive, got {self.poll_interval_s}")
+        if not 0.0 < self.poll_interval_s < math.inf:
+            raise BadConfig(
+                f"poll_interval_s must be positive and finite, got {self.poll_interval_s}")
 
     def lock_names(self) -> list[str]:
         return [f"lock{i}.wav" for i in range(1, self.lock_file_count + 1)]

@@ -240,6 +240,23 @@ class TestLockOnce:
         monkeypatch.setenv("ZFEPOCH_THRESHOLD", "1e9")  # unreachable bar
         assert run(["lock", "--dir", lock_dir, "--once"]) == 3
 
+    @pytest.mark.parametrize("flag", [["--threshold", "nan"], ["--poll", "inf"]])
+    def test_non_finite_flag_exits_2(self, lock_dir, capsys, flag):
+        # a NaN threshold never opens; an infinite poll overflows time.sleep
+        voiced_wav(lock_dir / "test.wav", "A", 2.0, 103)
+        with pytest.raises(SystemExit) as exc:
+            run(["lock", "--dir", lock_dir, "--once", *flag])
+        assert exc.value.code == 2
+        assert flag[0].lstrip("-") in capsys.readouterr().err
+        assert not (lock_dir / "0").exists() and not (lock_dir / "1").exists()
+
+    def test_env_nan_threshold_exits_2(self, lock_dir, monkeypatch):
+        voiced_wav(lock_dir / "test.wav", "A", 2.0, 104)
+        monkeypatch.setenv("ZFEPOCH_THRESHOLD", "nan")
+        with pytest.raises(SystemExit) as exc:
+            run(["lock", "--dir", lock_dir, "--once"])
+        assert exc.value.code == 2
+
     def test_missing_dir_exits_1(self, tmp_path, capsys):
         assert run(["lock", "--dir", tmp_path / "absent", "--once"]) == 1
         assert capsys.readouterr().err.strip()

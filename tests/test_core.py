@@ -142,6 +142,11 @@ class TestFilterConfig:
         with pytest.raises(BadConfig):
             FilterConfig("zff", trim_s=-0.01)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_passes(self, value):
+        with pytest.raises(BadConfig):
+            FilterConfig("zff", detrend_passes=value)
+
     def test_preemphasis_override(self):
         assert FilterConfig("zpzfr", preemphasis=True).preemphasis
         assert not FilterConfig("zff", preemphasis=False).preemphasis
@@ -163,6 +168,9 @@ INVALID_INPUTS = {
     "lock_file_count": lambda mp, tmp: LockConfig(watch_dir=tmp, lock_file_count=0),
     "lock_threshold": lambda mp, tmp: LockConfig(watch_dir=tmp, threshold=-1.0),
     "lock_poll_interval": lambda mp, tmp: LockConfig(watch_dir=tmp, poll_interval_s=0.0),
+    "lock_threshold_nan": lambda mp, tmp: LockConfig(watch_dir=tmp, threshold=float("nan")),
+    "lock_poll_interval_inf": lambda mp, tmp: LockConfig(
+        watch_dir=tmp, poll_interval_s=float("inf")),
     "evaluate_tolerance": lambda mp, tmp: evaluate(_EPOCHS, _EPOCHS, 0.0),
     "env_threshold": _bad_env_threshold,
     "frequency_response_shapes": lambda mp, tmp: FrequencyResponse(
@@ -175,3 +183,10 @@ def test_invalid_input_raises_package_error(site, monkeypatch, tmp_path):
     # ZfepochError is what the CLI turns into an exit code instead of a traceback
     with pytest.raises(ZfepochError):
         INVALID_INPUTS[site](monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_lock_file_count(value, tmp_path):
+    # int() of these raises ValueError or OverflowError, which the CLI does not catch
+    with pytest.raises(BadConfig):
+        LockConfig(watch_dir=tmp_path, lock_file_count=value)

@@ -6,7 +6,13 @@ trim examples are evaluated by hand.
 """
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +51,7 @@ from filter_oracle import (
     old_zff_pipeline,
     whole_buffer_pipeline,
 )
+from zfepoch import filters
 from zfepoch.filters import _BLOCK, _zff_kernel
 
 
@@ -317,6 +324,105 @@ class TestBlockwiseMatchesWholeBuffer:
         x = np.random.default_rng(n).normal(size=n)
         got = cascaded_resonator(SampledSignal(x, 16000.0), r, pairs).samples
         assert np.array_equal(got, old_cascaded_resonator(x, r, pairs))
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(filters, "_worker_count", lambda blocks: min(workers, blocks))
+
+
+class TestThreadedBlocks:
+    """Convolution blocks spread over threads give the one-thread output."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    def test_bit_identical_at_any_worker_count(self, monkeypatch, method, workers):
+        _use_workers(monkeypatch, workers)
+        sig = SampledSignal(np.random.default_rng(workers).normal(size=5 * _BLOCK + 477), 16000.0)
+        cfg = FilterConfig(method)
+        assert np.array_equal(run_pipeline(sig, cfg).samples,
+                              whole_buffer_pipeline(sig, cfg).samples)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        # a fresh pool would start threads if the lock's 2 s clip used it
+        monkeypatch.setattr(filters, "_pool", [])
+        sig, _ = synth_voice(speaker("A", 2.0, seed=3, noise_snr_db=20.0))
+        before = threading.active_count()
+        for method in ("zfr", "zff", "zpzfr"):
+            run_pipeline(sig, FilterConfig(method))
+        assert threading.active_count() == before
+        assert filters._pool == []
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_window_wider_than_block(self, monkeypatch, workers):
+        # a block whose slice is shorter than the kernel would make
+        # np.convolve swap its operands and round differently
+        _use_workers(monkeypatch, workers)
+        monkeypatch.setattr(filters, "_BLOCK", 64)
+        x = np.cumsum(np.random.default_rng(workers).normal(size=300))
+        for n_half in (63, 64, 100, 149):
+            got = detrend(SampledSignal(x, 16000.0), (2 * n_half + 0.1) / 16000.0).samples
+            assert np.array_equal(got, old_detrend(x, n_half))
+
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    def test_peak_memory_at_most_workers(self, monkeypatch, method):
+        # the peak-memory bound holds on a machine with four or more CPUs
+        _use_workers(monkeypatch, filters._MAX_WORKERS)
+        test_pipeline_peak_memory_within_two_and_a_half_inputs(method)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its
+        # threads; work queued on that pool would wait forever
+        _use_workers(monkeypatch, 2)
+        sig = SampledSignal(np.random.default_rng(4).normal(size=3 * _BLOCK), 16000.0)
+        cfg = FilterConfig("zff")
+        want = run_pipeline(sig, cfg).samples
+        with warnings.catch_warnings():
+            # Python 3.12 warns about fork() in a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                same = np.array_equal(run_pipeline(sig, cfg).samples, want)
+            except BaseException:
+                same = False
+            os._exit(0 if same else 1)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_concurrent_callers_match_serial(self, monkeypatch):
+        # two callers share the pool; more workers than this machine's
+        # cores and a short switch interval make interleaving likely
+        _use_workers(monkeypatch, 4)
+        sigs = [SampledSignal(np.random.default_rng(k).normal(size=3 * _BLOCK + 9), 16000.0)
+                for k in range(2)]
+        cfgs = [FilterConfig("zpzfr"), FilterConfig("zff")]
+        want = [run_pipeline(s, c).samples for s, c in zip(sigs, cfgs)]
+        got = [[] for _ in sigs]
+
+        def call(k):
+            for _ in range(5):
+                got[k].append(run_pipeline(sigs[k], cfgs[k]).samples)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for k in range(2):
+            assert len(got[k]) == 5
+            assert all(np.array_equal(g, want[k]) for g in got[k])
 
 
 @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
