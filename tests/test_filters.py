@@ -262,9 +262,12 @@ def test_output_independent_of_input_length(method):
 
 
 # the zff kernel has 477 taps at two passes of 15 ms at 16 kHz, and the
-# detrend window 241: 400 samples fit the window but not the kernel
+# detrend window 241: 400 samples fit the window but not the kernel;
+# the other lengths sit on the edges of one, two and four blocks
 _KERNEL = len(_zff_kernel(120, 2))
-BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + _KERNEL, 400]
+BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+                 4 * _BLOCK + _KERNEL, 400]
 
 
 def _epochs(filtered, method):
