@@ -132,6 +132,8 @@ def _cmd_verify_egg(args, parser) -> int:
 
 
 def _cmd_analyze(args, parser) -> int:
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
     r = args.r if args.r is not None else (1.0 if args.method == "zff" else DEFAULT_R)
     try:
         omega = np.linspace(0.0, np.pi, args.points + 2)[1:-1]
@@ -178,7 +180,7 @@ def _cmd_lock(args, parser) -> int:
     try:
         run_daemon(config)
     except KeyboardInterrupt:
-        return EXIT_OK
+        pass
     return EXIT_OK
 
 
@@ -186,9 +188,9 @@ def _cmd_synth(args, parser) -> int:
     try:
         spec = speaker(args.speaker, args.duration, seed=args.seed,
                        noise_snr_db=args.noise_snr, sample_rate_hz=args.fs)
+        signal, truth = synth_voice(spec) if not args.raw_train else impulse_train(spec)
     except ZfepochError as exc:
         parser.error(str(exc))
-    signal, truth = synth_voice(spec) if not args.raw_train else impulse_train(spec)
     if len(signal) == 0:
         parser.error(f"--duration {args.duration:g} s holds no samples at {args.fs:g} Hz")
     peak = np.max(np.abs(signal.samples))
@@ -278,10 +280,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args, parser)
-    except ZfepochError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
-    except OSError as exc:
+    except (ZfepochError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
 

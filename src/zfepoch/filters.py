@@ -7,32 +7,31 @@ Three related methods share one recursion, a double pole near 0 Hz:
 * zfr: two cascaded double-pole sections at radius r < 1, run causally.
   Stable, but the pole pair bends the phase response, so detected
   epochs land with a systematic shift.
-* zff: the same cascade with r = 1. The poles sit on the unit circle,
-  and the running-mean detrender's zeros at z = 1 cancel them exactly,
-  so the whole filter runs as one FIR convolution. Linear phase.
+* zff: the same cascade with r = 1. The poles sit on the unit circle.
+  Linear phase.
 * zpzfr: the radius-r double-pole section applied forward and backward
   over the whole buffer, squaring the magnitude and cancelling the
   phase exactly. Non-causal, zero phase.
 
-All pipelines optionally first-difference the input (pre-emphasis),
-then filter, then detrend, then trim the edge anomaly. Each stage
-returns a new SampledSignal whose start_time_s keeps epoch times in
-original-recording coordinates.
+Every pipeline optionally first-differences the input (pre-emphasis),
+filters, and trims the edge anomaly; each stage returns a SampledSignal
+whose start_time_s keeps epoch times in original-recording coordinates.
+zpzfr resonates, then detrends. zfr and zff share one causal path: a
+detrend window has a double zero at z = 1, so the cascade and the first
+two passes run as one FIR and two radius-r sections whose zeros at z = 1
+meet its poles (see _causal_pipeline). No stage carries the cascade's
+trend, so precision does not depend on the input length.
 
-The filter stages run over blocks of _BLOCK samples and write into one
+The filter stages run over blocks of _BLOCK samples into one
 preallocated output. Every SampledSignal array is read-only, and
-np.convolve and lfilter copy a read-only input whole before they start;
-block by block, only one block is copied at a time. So no stage holds
-more than its own input and output, and a whole extraction peaks at
-about two input-sized arrays.
-
-The convolution blocks are independent, and np.convolve releases the
-GIL, so they run on up to min(usable CPUs, 4) threads: the caller and a
-module-private pool started on first use. Every block does the same
+np.convolve and lfilter copy a read-only input whole; block by block,
+only one block is copied, so an extraction peaks at about two
+input-sized arrays. The convolution blocks are independent and
+np.convolve releases the GIL, so they run on up to min(usable CPUs, 4)
+threads: the caller and a module-private pool started on first use. Every block does the same
 arithmetic on any thread, so the output is bit-identical at any thread
-count. An input of one block, such as a 2 s lock clip, runs inline and
-starts no thread. Each extra thread holds its own block copy, which
-adds about 0.5 MB to the peak.
+count. An input of one block, such as a 2 s lock clip, starts no thread;
+each extra thread adds about 0.5 MB to the peak.
 """
 
 from __future__ import annotations
@@ -134,18 +133,23 @@ def _resonator_sos(r: float) -> list[float]:
     return [1.0, -2.0 * r, r * r]
 
 
-def _lfilter_blocks(a, x: np.ndarray, out: np.ndarray, zi=None, reverse: bool = False):
-    """lfilter([1], a, x) into out, block by block; returns the final state.
+def _lfilter_blocks(sections, x: np.ndarray, out: np.ndarray, zi=None, reverse: bool = False):
+    """The second-order lfilter(b, a) sections in cascade over x into out.
 
-    zi is the initial state (zero if None). reverse runs from the last
-    sample to the first, as lfilter over x[::-1] would. out may be x.
+    Block by block, every section runs on a block while it is in cache.
+    zi lists initial states (zero if None); the final ones are returned.
+    reverse runs from the last sample to the first, as lfilter over
+    x[::-1] would. out may be x.
     """
     if reverse:
         x, out = x[::-1], out[::-1]
-    z = np.zeros(len(a) - 1) if zi is None else zi
+    states = [np.zeros(2) for _ in sections] if zi is None else list(zi)
     for i in range(0, len(x), _BLOCK):
-        out[i : i + _BLOCK], z = lfilter([1.0], a, x[i : i + _BLOCK], zi=z)
-    return z
+        y = x[i : i + _BLOCK]
+        for k, (b, a) in enumerate(sections):
+            y, states[k] = lfilter(b, a, y, zi=states[k])
+        out[i : i + _BLOCK] = y
+    return states
 
 
 def _worker_count(blocks: int) -> int:
@@ -214,16 +218,8 @@ def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> Sam
     if not 0.0 < r <= 1.0:
         raise BadRadius(f"resonator radius needs 0 < r <= 1, got {r}")
     pairs = positive_count(order_pairs, "order_pairs")
-    a = _resonator_sos(float(r))
-    x = signal.samples
-    out = np.empty(len(x))
-    # every section runs on a block while it is in cache
-    states = [np.zeros(2) for _ in range(pairs)]
-    for i in range(0, len(x), _BLOCK):
-        y = x[i : i + _BLOCK]
-        for k, z in enumerate(states):
-            y, states[k] = lfilter([1.0], a, y, zi=z)
-        out[i : i + _BLOCK] = y
+    out = np.empty(len(signal))
+    _lfilter_blocks([([1.0], _resonator_sos(float(r)))] * pairs, signal.samples, out)
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
@@ -309,12 +305,12 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     backward pass's state at the buffer end; that pass then runs in
     place over the forward output.
     """
-    a = _resonator_sos(r)
+    section = ([1.0], _resonator_sos(r))
     y = np.empty(len(x))
-    state = _lfilter_blocks(a, x, y)
-    ring, _ = lfilter([1.0], a, np.zeros(_ringout_length(r)), zi=state)
-    _, state = lfilter([1.0], a, ring[::-1], zi=np.zeros(2))
-    _lfilter_blocks(a, y, y, zi=state, reverse=True)
+    (state,) = _lfilter_blocks([section], x, y)
+    ring, _ = lfilter(*section, np.zeros(_ringout_length(r)), zi=state)
+    _, state = lfilter(*section, ring[::-1], zi=np.zeros(2))
+    _lfilter_blocks([section], y, y, zi=[state], reverse=True)
     return y
 
 
@@ -327,24 +323,11 @@ def _preemphasized(signal: SampledSignal, config: FilterConfig) -> SampledSignal
     return differentiate(signal) if config.preemphasis else signal
 
 
-def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    """Causal radius-r pipeline: difference, resonate, detrend, trim."""
-    _require_method(config, "zfr")
-    validate_signal(signal)
-    out = _preemphasized(signal, config)
-    out = cascaded_resonator(out, config.r, order_pairs=2)
-    # rebinding out frees each stage's array once the next has its output
-    for _ in range(config.detrend_passes):
-        out = detrend(out, config.detrend_window_s)
-    return trim_ends(out, config.trim_s)
-
-
 def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
-    """FIR equal to `passes` detrend windows over the r = 1 cascade.
+    """FIR q^passes, where q is one detrend window with two zeros removed.
 
     h = delta_N - 1/(2N+1) has a double zero at z = 1, so h / (1 - z^-1)^2
-    is the FIR q: the first 2N - 1 taps of h's double running sum. Each
-    pass beyond two adds a (1 - z^-1)^2 factor; one pass leaves two poles.
+    is the FIR q: the first 2N - 1 taps of h's double running sum.
     """
     width = 2 * n_half + 1
     h = np.full(width, -1.0 / width)
@@ -353,38 +336,50 @@ def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
     kernel = np.ones(1)
     for _ in range(passes):
         kernel = np.convolve(kernel, q)
-    for _ in range(passes - 2):
-        kernel = np.convolve(kernel, [1.0, -2.0, 1.0])
     # windows of a sample or two leave the kernel shorter than its delay
     return np.pad(kernel, (0, max(0, passes * n_half + 1 - len(kernel))))
 
 
-def zff_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    """Unit-circle pipeline: difference, resonate at r=1, detrend, trim.
+def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -> SampledSignal:
+    """Difference, the cascade 1/(1 - r z^-1)^4, the detrend passes, trim.
 
-    Resonator and detrend passes run as one convolution with _zff_kernel
-    whose sample i + passes*N is output sample i, so precision does not
-    depend on the input length. Samples at least passes*N from each end
-    (before the trim) equal resonating then detrending, to rounding.
-    Nearer the ends the kernel zero-extends the input where detrend
-    truncates its window; such samples survive only when
-    round(trim_s * fs) < passes*N: trim_s = 0, three or more passes, or
-    11.025 kHz at the defaults.
+    Two detrend windows are z^2N q^2 (1 - z^-1)^4, so the cascade and the
+    first m = min(passes, 2) passes run as the FIR q^m, then the sections
+    (1 - z^-1)^2 / (1 - r z^-1)^2 and (1 - z^-1)^(2m-2) / (1 - r z^-1)^2;
+    a section whose zeros cancel its poles (r = 1) is skipped. Output
+    sample i is sample i + m*N of that run. Further passes run as detrend:
+    folded into the FIR they cost precision. Samples within passes*N of
+    either end (before the trim) see a zero-extended input where detrend
+    truncates its window; they survive only when round(trim_s * fs) <
+    passes*N: trim_s = 0, three or more passes, or 11.025 kHz by default.
     """
-    _require_method(config, "zff")
+    _require_method(config, method)
     validate_signal(signal)
     out = _preemphasized(signal, config)
-    passes = config.detrend_passes
+    m = min(config.detrend_passes, 2)
     n_half = _window_half_width(out, config.detrend_window_s)
-    offset = passes * n_half
-    # the leading offset samples are dropped, but the passes == 1
-    # integrator needs them for its state
-    y = np.empty(offset + len(out))
-    _convolve_blocks(out.samples, _zff_kernel(n_half, passes), y, 0)
-    if passes == 1:
-        _lfilter_blocks(_resonator_sos(1.0), y, y)
-    out = SampledSignal(y[offset:], out.sample_rate_hz, out.start_time_s)
+    # the sections need the leading m*N samples for their state
+    y = np.empty(m * n_half + len(out))
+    _convolve_blocks(out.samples, _zff_kernel(n_half, m), y, 0)
+    d2, a = [1.0, -2.0, 1.0], _resonator_sos(config.r)
+    sections = [(b, a) for b in (d2, d2 if m == 2 else [1.0]) if b != a]
+    if sections:
+        _lfilter_blocks(sections, y, y)
+    # rebinding out frees each stage's array once the next has its output
+    out = SampledSignal(y[m * n_half :], out.sample_rate_hz, out.start_time_s)
+    for _ in range(config.detrend_passes - 2):
+        out = detrend(out, config.detrend_window_s)
     return trim_ends(out, config.trim_s)
+
+
+def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
+    """Causal radius-r pipeline: difference, resonate, detrend, trim."""
+    return _causal_pipeline(signal, config, "zfr")
+
+
+def zff_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
+    """Unit-circle pipeline: zfr's causal path at r = 1, as zff's config pins."""
+    return _causal_pipeline(signal, config, "zff")
 
 
 def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
@@ -396,8 +391,6 @@ def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal
     """
     _require_method(config, "zpzfr")
     validate_signal(signal)
-    if not 0.0 < config.r < 1.0:
-        raise BadRadius(f"zpzfr needs 0 < r < 1, got {config.r}")
     out = _preemphasized(signal, config)
     out = SampledSignal(
         _zero_phase_double_pole(out.samples, config.r), out.sample_rate_hz, out.start_time_s

@@ -10,6 +10,7 @@ into a speech-like signal whose true epochs are known exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,6 +63,10 @@ class SynthSpec:
                     raise BadSpec(f"formant frequency {f_hz} Hz outside (0, fs/2)")
                 if not bw_hz > 0.0:
                     raise BadSpec(f"formant bandwidth must be positive, got {bw_hz}")
+        # past +/-3080 dB the power ratio 10 ** (snr / 10) overflows or rounds to 0
+        snr, limit = self.noise_snr_db, 10 * sys.float_info.max_10_exp
+        if snr is not None and not abs(snr) < limit:
+            raise BadSpec(f"noise_snr_db must lie within +/-{limit} dB, got {snr}")
         if self.formant_switch_s is not None:
             if self.formant_poles_after is None:
                 raise BadSpec("formant_switch_s needs formant_poles_after")
@@ -157,6 +162,8 @@ def synth_voice(spec: SynthSpec) -> tuple[SampledSignal, EpochSequence]:
         _, rng_noise = _rngs(spec.seed)
         power = float(np.mean(samples**2))
         sigma = math.sqrt(power / 10.0 ** (spec.noise_snr_db / 10.0))
+        if not math.isfinite(sigma):
+            raise BadSpec(f"noise at {spec.noise_snr_db} dB SNR overflows")
         samples = samples + rng_noise.normal(0.0, sigma, len(samples))
     return SampledSignal(samples, spec.sample_rate_hz), truth
 

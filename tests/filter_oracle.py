@@ -8,6 +8,11 @@ history of each segment leaves a cubic transient, which two symmetric
 detrend passes annihilate at points more than 2N samples inside the
 padding.
 
+old_zfr_pipeline is zfr's original implementation: the radius-r
+cascade 1/(1 - r z^-1)^4, then the detrend passes, each over the whole
+buffer. extended_precision_pipeline runs the same stages in
+np.longdouble, as a reference for the float64 pipelines.
+
 whole_buffer_pipeline runs each method's stages over the whole buffer
 at once, as the pipelines did before they worked block by block. The
 block-wise stages do the same arithmetic in the same order, so their
@@ -97,6 +102,29 @@ def old_zff_pipeline(signal, config):
     return trim_ends(SampledSignal(y, fs, pre.start_time_s), config.trim_s)
 
 
+def old_zfr_pipeline(signal, config):
+    """zfr as the radius-r cascade then the detrend passes.
+
+    Assumes an input long enough for the detrend window and the trim.
+    """
+    pre = differentiate(signal) if config.preemphasis else signal
+    y = old_cascaded_resonator(pre.samples, config.r, 2)
+    for _ in range(config.detrend_passes):
+        y = old_detrend(y, _half_width(pre.sample_rate_hz, config))
+    return trim_ends(SampledSignal(y, pre.sample_rate_hz, pre.start_time_s), config.trim_s)
+
+
+def extended_precision_pipeline(x, fs, config):
+    """zfr or zff, untrimmed, as cascade then detrend passes in np.longdouble."""
+    y = np.asarray(x, dtype=np.longdouble)
+    if config.preemphasis:
+        y = np.diff(y)
+    y = old_cascaded_resonator(y, config.r, 2)
+    for _ in range(config.detrend_passes):
+        y = old_detrend(y, _half_width(fs, config))
+    return y
+
+
 def whole_buffer_pipeline(signal, config):
     """config.method's pipeline with every stage over the whole buffer.
 
@@ -107,17 +135,20 @@ def whole_buffer_pipeline(signal, config):
     fs = pre.sample_rate_hz
     n_half = _half_width(fs, config)
     x = pre.samples
-    if config.method == "zff":
-        offset = config.detrend_passes * n_half
-        y = np.convolve(x, _zff_kernel(n_half, config.detrend_passes))[: offset + len(x)]
-        if config.detrend_passes == 1:
-            y = lfilter([1.0], _resonator_sos(1.0), y)
-        y = y[offset:]
+    if config.method == "zpzfr":
+        y = old_zero_phase_double_pole(x, config.r)
+        passes = config.detrend_passes
     else:
-        if config.method == "zfr":
-            y = old_cascaded_resonator(x, config.r, 2)
-        else:
-            y = old_zero_phase_double_pole(x, config.r)
-        for _ in range(config.detrend_passes):
-            y = old_detrend(y, n_half)
+        # the FIR q^m, the two radius-r sections, and the passes beyond two
+        m = min(config.detrend_passes, 2)
+        offset = m * n_half
+        y = np.convolve(x, _zff_kernel(n_half, m))[: offset + len(x)]
+        a = _resonator_sos(config.r)
+        for b in ([1.0, -2.0, 1.0], [1.0, -2.0, 1.0] if m == 2 else [1.0]):
+            if b != a:
+                y = lfilter(b, a, y)
+        y = y[offset:]
+        passes = config.detrend_passes - 2
+    for _ in range(passes):
+        y = old_detrend(y, n_half)
     return trim_ends(SampledSignal(y, fs, pre.start_time_s), config.trim_s)

@@ -157,6 +157,24 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "-4000"])
+    def test_synth_noise_snr_without_a_level_exits_2(self, tmp_path, capsys, snr):
+        out = tmp_path / "s.wav"
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", f"--noise-snr={snr}", "--out", out])
+        assert exc.value.code == 2
+        assert "noise_snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_analyze_without_points_exits_2(self, tmp_path, capsys, points):
+        out = tmp_path / "resp.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--method", "zpzfr", "--out", out, "--points", points])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run([])
@@ -208,6 +226,12 @@ class TestAnalyze:
         out = tmp_path / "resp.csv"
         assert run(["analyze", "--method", "zfr", "--out", out]) == 0
         assert "Causal & Non-linear & Stable" in capsys.readouterr().out
+
+    def test_one_point(self, tmp_path):
+        out = tmp_path / "resp.csv"
+        assert run(["analyze", "--method", "zff", "--out", out, "--points", "1"]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == pytest.approx(np.pi / 2)
 
 
 class TestLockOnce:

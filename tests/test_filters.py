@@ -46,9 +46,11 @@ from zfepoch import (
 )
 from filter_oracle import (
     SEGMENT_THRESHOLD_S,
+    extended_precision_pipeline,
     old_cascaded_resonator,
     old_detrend,
     old_zff_pipeline,
+    old_zfr_pipeline,
     whole_buffer_pipeline,
 )
 from zfepoch import filters
@@ -226,6 +228,20 @@ class TestZffBehavior:
         rel = np.max(np.abs(fir.samples - segmented.samples))
         assert rel / np.max(np.abs(segmented.samples)) <= 1e-2
 
+    @pytest.mark.parametrize("method,passes,sections", [
+        ("zff", 1, 1), ("zff", 2, 0), ("zff", 3, 0), ("zfr", 1, 2), ("zfr", 3, 2),
+    ])
+    def test_sections_whose_zeros_cancel_their_poles_are_skipped(self, monkeypatch, method,
+                                                                 passes, sections):
+        # at r = 1 such a section is an exact identity, so only its cost shows
+        real = filters.lfilter
+        calls = []
+        monkeypatch.setattr(filters, "lfilter",
+                            lambda b, a, x, zi: calls.append(b) or real(b, a, x, zi=zi))
+        sig = SampledSignal(np.random.default_rng(0).normal(size=4000), 8000.0)
+        run_pipeline(sig, FilterConfig(method, detrend_passes=passes))
+        assert len(calls) == sections
+
     @pytest.mark.parametrize("passes", [1, 2, 3])
     @pytest.mark.parametrize("fs", [8000.0, 11025.0, 16000.0, 44100.0])
     def test_fir_matches_cascade_then_detrend(self, passes, fs):
@@ -240,6 +256,49 @@ class TestZffBehavior:
         inner = slice(edge, len(ref) - edge)
         err = np.max(np.abs(fir[inner] - ref[inner]))
         assert err <= 1e-7 * np.max(np.abs(ref[inner]))
+
+
+class TestZfrBehavior:
+    @pytest.mark.parametrize("source", ["noise", "A", "B"])
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("fs", [8000.0, 11025.0, 16000.0, 44100.0])
+    def test_matches_cascade_then_detrend(self, source, passes, fs):
+        # the FIR and the sections against the cascade they replace:
+        # trimming exactly the edge zones of passes * N samples leaves the
+        # samples on which the two must agree, and the epochs they carry
+        if source == "noise":
+            sig = SampledSignal(np.random.default_rng(passes).normal(size=int(0.5 * fs)), fs)
+        else:
+            sig, _ = synth_voice(speaker(source, 0.5, seed=5, noise_snr_db=20.0,
+                                         sample_rate_hz=fs))
+        edge = passes * int(round(0.015 * fs / 2.0))
+        for r in (0.95, 0.97, 0.99):
+            cfg = FilterConfig("zfr", r=r, detrend_passes=passes, trim_s=edge / fs)
+            got = zfr_pipeline(sig, cfg)
+            want = old_zfr_pipeline(sig, cfg)
+            assert len(got) == len(want) and got.start_time_s == want.start_time_s
+            err = np.max(np.abs(got.samples - want.samples))
+            assert err <= 1e-9 * np.max(np.abs(want.samples))
+            t_got = detect_positive_zero_crossings(got).times_s
+            t_want = detect_positive_zero_crossings(want).times_s
+            assert len(t_got) == len(t_want) > 0
+            assert np.max(np.abs(t_got - t_want)) <= 1e-9
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("method,r", [("zff", None), ("zfr", 0.95), ("zfr", 0.99)])
+def test_three_passes_match_extended_precision(method, r):
+    # a third pass folded into the FIR costs precision at wide windows
+    fs = 44100.0
+    x = np.random.default_rng(3).normal(size=int(0.12 * fs))
+    cfg = FilterConfig(method, r=r, detrend_passes=3, trim_s=0.0)
+    got = run_pipeline(SampledSignal(x, fs), cfg).samples
+    ref = extended_precision_pipeline(x, fs, cfg)
+    edge = 3 * int(round(cfg.detrend_window_s * fs / 2.0))
+    inner = slice(edge, len(ref) - edge)
+    err = np.max(np.abs(got[inner] - ref[inner])) / np.max(np.abs(ref[inner]))
+    assert float(err) <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])

@@ -84,6 +84,13 @@ class TestBadSpecs:
         with pytest.raises(BadSpec):
             SynthSpec(duration_s=1.0, seed=1.5)
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf"),
+                                        -4000.0, 4000.0])
+    def test_noise_snr_without_a_noise_level(self, snr_db):
+        # 10 ** (snr / 10) is NaN, infinite or zero, or overflows
+        with pytest.raises(BadSpec):
+            SynthSpec(duration_s=1.0, noise_snr_db=snr_db)
+
 
 class TestSynthVoice:
     def test_identity_without_formants(self):
@@ -113,6 +120,14 @@ class TestSynthVoice:
         noise = noisy.samples - clean.samples
         snr = 10.0 * np.log10(np.mean(clean.samples**2) / np.mean(noise**2))
         assert snr == pytest.approx(20.0, abs=1.0)
+
+    def test_noise_level_overflow(self):
+        # the SNR is a float ratio, but this loud a voice makes the
+        # noise's standard deviation overflow
+        spec = SynthSpec(duration_s=0.2, pitch_contour=100.0,
+                         formant_poles=((800.0, 10.0),), noise_snr_db=-3079.0)
+        with pytest.raises(BadSpec):
+            synth_voice(spec)
 
     def test_formant_switch(self):
         spec = SynthSpec(duration_s=1.0, pitch_contour=120.0, seed=6,
