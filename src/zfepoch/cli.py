@@ -17,7 +17,15 @@ import numpy as np
 
 from . import io as zio
 from .compare import MatchConfig, delta12_count, deltas
-from .core import DEFAULT_R, METHODS, EpochSequence, FilterConfig, SampledSignal, ZfepochError
+from .core import (
+    DEFAULT_R,
+    METHODS,
+    BadConfig,
+    EpochSequence,
+    FilterConfig,
+    SampledSignal,
+    ZfepochError,
+)
 from .epochs import evaluate, egg_reference_epochs, extract_epochs
 from .filters import frequency_response, pole_report
 from .lock import (
@@ -280,6 +288,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args, parser)
+    except BadConfig as exc:
+        # a flag only the input shows to be unusable, such as a detrend
+        # window under one sample period at the file's rate
+        parser.error(str(exc))
     except (ZfepochError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROCESSING

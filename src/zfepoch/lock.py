@@ -95,7 +95,11 @@ def decide(score: SimilarityScore, threshold: float) -> Decision:
 
 
 def _load_epochs(path: Path, config: LockConfig, locks) -> EpochSequence:
-    """Epochs of a lock or test WAV at the locks' rate; UnreadableAudio on any failure."""
+    """Epochs of a lock or test WAV at the locks' rate; UnreadableAudio on any failure.
+
+    BadConfig passes through: a config unusable at the file's rate, such
+    as a sub-sample detrend window, fails every file, so none is to blame.
+    """
     rates = {e.source_sample_rate_hz for e in locks}
     try:
         signal = read_wav(path)
@@ -105,6 +109,8 @@ def _load_epochs(path: Path, config: LockConfig, locks) -> EpochSequence:
                 f"keyed locks at {sorted(rates)[0]} Hz"
             )
         return extract_epochs(signal, config.method)
+    except BadConfig:
+        raise
     except ZfepochError as exc:
         raise UnreadableAudio(f"{path.name}: {exc}") from exc
 

@@ -175,6 +175,19 @@ class TestUsageErrors:
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["extract", "verify-egg"])
+    def test_sub_sample_window_exits_2(self, tmp_path, capsys, make_voiced_wav, command):
+        # 0.01 ms is under one sample period only at the file's 16 kHz
+        wav_path, _ = make_voiced_wav("A", "v.wav")
+        out = tmp_path / "o.csv"
+        files = {"extract": ["--in", wav_path, "--out", out],
+                 "verify-egg": ["--audio", wav_path, "--egg", wav_path]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *files, "--method", "zff", "--window", "0.01"])
+        assert exc.value.code == 2
+        assert "under one sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run([])
@@ -273,6 +286,14 @@ class TestLockOnce:
         assert exc.value.code == 2
         assert flag[0].lstrip("-") in capsys.readouterr().err
         assert not (lock_dir / "0").exists() and not (lock_dir / "1").exists()
+
+    def test_sub_sample_window_exits_2_and_keeps_every_file(self, lock_dir):
+        voiced_wav(lock_dir / "test.wav", "A", 2.0, 105)
+        before = sorted(p.name for p in lock_dir.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run(["lock", "--dir", lock_dir, "--once", "--window", "0.01"])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in lock_dir.iterdir()) == before
 
     def test_env_nan_threshold_exits_2(self, lock_dir, monkeypatch):
         voiced_wav(lock_dir / "test.wav", "A", 2.0, 104)

@@ -16,12 +16,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from zfepoch import (
     BadConfig,
     BadMethod,
     BadRadius,
     FilterConfig,
+    NonFinite,
     OmegaOutOfRange,
     SampledSignal,
     SynthSpec,
@@ -54,7 +56,7 @@ from filter_oracle import (
     whole_buffer_pipeline,
 )
 from zfepoch import filters
-from zfepoch.filters import _BLOCK, _zff_kernel
+from zfepoch.filters import _BLOCK, _FRAME, _zff_kernel
 
 
 def unit_impulse(n, fs=1000.0):
@@ -285,6 +287,40 @@ class TestZfrBehavior:
             assert np.max(np.abs(t_got - t_want)) <= 1e-9
 
 
+class TestInputRange:
+    @pytest.mark.parametrize("method", ["zfr", "zff"])
+    def test_fft_overflow_raises_non_finite(self, method):
+        # each FFT frame sums thousands of samples times the kernel's
+        # 5.9e6 gain at 0 Hz: a float64 overflow, never silent garbage
+        sig, _ = synth_voice(speaker("A", 1.0, seed=3, noise_snr_db=20.0))
+        with pytest.raises(NonFinite):
+            run_pipeline(SampledSignal(sig.samples * 1e300, sig.sample_rate_hz),
+                         FilterConfig(method))
+
+    @pytest.mark.parametrize("method", ["zfr", "zff"])
+    def test_huge_input_keeps_the_oracle_epochs(self, method):
+        sig, _ = synth_voice(speaker("A", 1.0, seed=3, noise_snr_db=20.0))
+        sig = SampledSignal(sig.samples * 1e290, sig.sample_rate_hz)
+        cfg = FilterConfig(method)
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
+
+    @pytest.mark.parametrize("window_s", [1e-9, 1.0 / 16000.0])
+    def test_sub_sample_window_rejected(self, window_s):
+        # N = round(window_s * fs / 2) = 0: a one-tap window subtracts each
+        # sample from itself and every method would output zeros
+        sig, _ = synth_voice(speaker("A", 1.0, seed=3))
+        with pytest.raises(BadConfig):
+            detrend(sig, window_s)
+        for method in ("zfr", "zff", "zpzfr"):
+            with pytest.raises(BadConfig):
+                run_pipeline(sig, FilterConfig(method, detrend_window_s=window_s))
+
+    def test_window_of_one_sample_each_side_runs(self):
+        sig, _ = synth_voice(speaker("A", 1.0, seed=3))
+        out = detrend(sig, 1.01 / 16000.0)
+        assert np.array_equal(out.samples, old_detrend(sig.samples, 1))
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="np.longdouble is no wider than float64 here")
 @pytest.mark.parametrize("method,r", [("zff", None), ("zfr", 0.95), ("zfr", 0.99)])
@@ -329,17 +365,43 @@ BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1,
                  4 * _BLOCK + _KERNEL, 400]
 
 
+# FIR output lengths on either side of one and four frame hops of that
+# kernel, and of one hop into the second block
+_HOP = next_fast_len(max(_FRAME, 2 * _KERNEL), real=True) - _KERNEL + 1
+FRAME_LENGTHS = [k + d for k in (_HOP, 4 * _HOP, _BLOCK + _HOP) for d in (-1, 0, 1)]
+
+
 def _epochs(filtered, method):
     detect = detect_negative_peaks if method == "zpzfr" else detect_positive_zero_crossings
     return detect(filtered).times_s
 
 
+def assert_matches_oracle(got, want, method):
+    """got equals the whole-buffer oracle: exactly for zpzfr, else to a tolerance.
+
+    zfr and zff run their FIR by FFT where the oracle sums it directly,
+    so they may differ by 1e-10 of the output's peak (6.5e-12 is the
+    largest seen) and carry the same epochs within 1e-9 s.
+    """
+    assert len(got) == len(want) and got.start_time_s == want.start_time_s
+    if method == "zpzfr":
+        assert np.array_equal(got.samples, want.samples)
+        return
+    err = np.max(np.abs(got.samples - want.samples))
+    assert err <= 1e-10 * np.max(np.abs(want.samples))
+    t_got, t_want = _epochs(got, method), _epochs(want, method)
+    assert len(t_got) == len(t_want)
+    assert np.all(np.abs(t_got - t_want) <= 1e-9)
+
+
 class TestBlockwiseMatchesWholeBuffer:
     """The block-wise stages against the whole-buffer oracle.
 
-    Every block convolves at least a kernel's worth of samples, so even
-    a last block of one sample does the whole buffer's arithmetic and
-    the block-edge lengths must match exactly.
+    Every direct-convolution block convolves at least a kernel's worth
+    of samples, so even a last block of one sample does the whole
+    buffer's arithmetic: detrend, the resonators and zpzfr must match
+    exactly at the block-edge lengths. zfr and zff match to the FFT
+    tolerance of assert_matches_oracle.
     """
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
@@ -347,8 +409,7 @@ class TestBlockwiseMatchesWholeBuffer:
     def test_voices_bit_identical(self, method, name):
         sig, _ = synth_voice(speaker(name, 10.0, seed=5, noise_snr_db=20.0))
         cfg = FilterConfig(method)
-        assert np.array_equal(run_pipeline(sig, cfg).samples,
-                              whole_buffer_pipeline(sig, cfg).samples)
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     @pytest.mark.parametrize("passes", [1, 2, 3])
@@ -358,20 +419,22 @@ class TestBlockwiseMatchesWholeBuffer:
         x = np.random.default_rng(passes).normal(size=_BLOCK + int(0.2 * fs))
         sig = SampledSignal(x, fs)
         cfg = FilterConfig(method, detrend_passes=passes, trim_s=trim_s)
-        got = run_pipeline(sig, cfg)
-        want = whole_buffer_pipeline(sig, cfg)
-        assert len(got) == len(want)
-        assert np.all(np.abs(got.samples - want.samples) <= 1e-12 * np.abs(want.samples))
-        assert got.start_time_s == want.start_time_s
-        assert np.array_equal(_epochs(got, method), _epochs(want, method))
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     def test_block_edge_lengths(self, method, n):
         sig = SampledSignal(np.random.default_rng(n).normal(size=n), 16000.0)
         cfg = FilterConfig(method, trim_s=0.0)
-        assert np.array_equal(run_pipeline(sig, cfg).samples,
-                              whole_buffer_pipeline(sig, cfg).samples)
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
+
+    @pytest.mark.parametrize("method", ["zfr", "zff"])
+    @pytest.mark.parametrize("fir", FRAME_LENGTHS)
+    def test_frame_edge_lengths(self, method, fir):
+        # the FIR's output holds the pre-emphasized input and 2N = 240 more
+        sig = SampledSignal(np.random.default_rng(fir).normal(size=fir - 239), 16000.0)
+        cfg = FilterConfig(method, trim_s=0.0)
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     @pytest.mark.parametrize("window_s", [0.005, 0.015])
@@ -398,11 +461,43 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     def test_bit_identical_at_any_worker_count(self, monkeypatch, method, workers):
-        _use_workers(monkeypatch, workers)
         sig = SampledSignal(np.random.default_rng(workers).normal(size=5 * _BLOCK + 477), 16000.0)
         cfg = FilterConfig(method)
-        assert np.array_equal(run_pipeline(sig, cfg).samples,
-                              whole_buffer_pipeline(sig, cfg).samples)
+        _use_workers(monkeypatch, 1)
+        one = run_pipeline(sig, cfg).samples
+        _use_workers(monkeypatch, workers)
+        got = run_pipeline(sig, cfg)
+        assert np.array_equal(got.samples, one)
+        assert_matches_oracle(got, whole_buffer_pipeline(sig, cfg), method)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("method", ["zfr", "zff"])
+    def test_fir_longer_than_block(self, monkeypatch, method, workers):
+        # every 64-sample block runs one frame, and the 477-tap kernel
+        # reaches back over several earlier blocks
+        _use_workers(monkeypatch, workers)
+        monkeypatch.setattr(filters, "_BLOCK", 64)
+        sig = SampledSignal(np.random.default_rng(workers).normal(size=1000), 16000.0)
+        cfg = FilterConfig(method, trim_s=0.0)
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_fft_blocks_match_direct_convolution(self, monkeypatch, workers):
+        # kernels shorter and longer than a block and than half a frame,
+        # at offsets from none to the whole kernel's overhang
+        _use_workers(monkeypatch, workers)
+        monkeypatch.setattr(filters, "_BLOCK", 64)
+        monkeypatch.setattr(filters, "_FRAME", 128)
+        rng = np.random.default_rng(workers)
+        x = rng.normal(size=700)
+        for m in (1, 5, 63, 64, 65, 100, 300):
+            kernel = rng.normal(size=m)
+            full = np.convolve(x, kernel)
+            for offset in (0, 1, m // 2, m - 1):
+                out = np.empty(len(full) - offset)
+                filters._convolve_blocks(x, kernel, out, offset, fft=True)
+                want = full[offset:]
+                assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # a fresh pool would start threads if the lock's 2 s clip used it

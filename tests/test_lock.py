@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zfepoch import (
+    BadConfig,
     Decision,
     FilterConfig,
     LockConfig,
@@ -104,6 +105,16 @@ class TestKeying:
         assert session.phase is Phase.KEYED
         rewritten = extract_epochs(read_wav(lock5), session.config.method)
         assert np.array_equal(session.lock_epochs["lock5.wav"].times_s, rewritten.times_s)
+
+    def test_sub_sample_window_raises_and_quarantines_nothing(self, tmp_path):
+        # the config, not any file, is at fault: every file would fail
+        deposit_locks(tmp_path)
+        cfg = make_config(tmp_path, method=FilterConfig("zpzfr", detrend_window_s=1e-9))
+        session = LockSession(cfg)
+        with pytest.raises(BadConfig):
+            settle(session)
+        assert not (tmp_path / "quarantine").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == cfg.lock_names()
 
     def test_unreadable_lock_quarantined(self, tmp_path):
         deposit_locks(tmp_path, count=4)
