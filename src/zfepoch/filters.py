@@ -27,13 +27,12 @@ preallocated output. Every SampledSignal array is read-only, and
 np.convolve and lfilter copy a read-only input whole; block by block,
 only one block is copied, so an extraction peaks at about two
 input-sized arrays. zfr and zff compute their FIR by FFT overlap-save
-over frames of _FRAME samples. Their input carries no trend, and the
-result differs from a direct sum by under 1e-10 of the output's peak
-(6.5e-12 is the largest seen), with the same epochs within 1e-9 s.
-detrend keeps a direct np.convolve sum, since its input may carry a
-large trend. The convolution blocks are independent, and np.convolve
-and scipy.fft release the GIL, so they run on up to min(usable CPUs, 4)
-threads: the caller and a module-private pool started on first use.
+over frames of _FRAME samples, to the tolerance _convolve_blocks
+states; their input carries no trend. detrend keeps a direct
+np.convolve sum, since its input may carry a large trend. The
+convolution blocks are independent, and np.convolve and scipy.fft
+release the GIL, so they run on up to min(usable CPUs, 4) threads: the
+caller and a module-private pool started on first use.
 Every block does the same arithmetic on any thread, so the output is
 bit-identical at any thread count. An input of one block, such as a
 2 s lock clip, starts no thread; each extra thread adds about 0.5 MB to
@@ -196,9 +195,11 @@ def _convolve_blocks(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, offset:
     operands and round differently from the whole-buffer convolution.
     With fft, a block instead runs overlap-save frames of _FRAME samples
     (at least twice the kernel) against the kernel's spectrum, computed
-    once per call. On a voice that matches the direct sum to about 1e-14
-    of max|out|. A frame's spectrum sums up to _FRAME samples, so it
-    overflows to inf at a smaller |x| than the direct sum does.
+    once per call. On an input without a trend, the result differs from
+    the direct sum by under 1e-10 of max|out|; an output whose kernel
+    window holds only zero samples is exactly 0, as in the direct sum.
+    A frame's spectrum sums up to _FRAME samples, so it overflows to
+    inf at a smaller |x| than the direct sum does.
     finish(i, j), if given, then runs on the block out[i:j] in the same
     thread. Worker k takes every n-th block from block k; the caller is
     worker 0, and workers 1..n-1 run on the pool. Blocks start at the
@@ -228,8 +229,13 @@ def _convolve_blocks(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, offset:
             spec = rfft(frame)
             spec *= spectrum
             k = min(hop, j + offset - t)
-            y = irfft(spec, size, overwrite_x=True)
-            out[t - offset : t - offset + k] = y[m - 1 : m - 1 + k]
+            y = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + k]
+            if size - np.count_nonzero(frame) >= m:
+                # a direct sum over m zero samples is exactly 0, where
+                # the FFT leaves rounding noise that crosses zero
+                nonzero = np.concatenate(([0], np.cumsum(frame != 0)))
+                y[nonzero[m : m + k] == nonzero[:k]] = 0.0
+            out[t - offset : t - offset + k] = y
 
     convolve = overlap_save if fft else direct
 
@@ -396,13 +402,12 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
     (1 - z^-1)^2 / (1 - r z^-1)^2 and (1 - z^-1)^(2m-2) / (1 - r z^-1)^2;
     a section whose zeros cancel its poles (r = 1) is skipped. Output
     sample i is sample i + m*N of that run. The FIR runs by FFT
-    overlap-save on an input that carries no trend; the output differs
-    from a direct FIR sum by under 1e-10 of its peak. Further passes run
-    as detrend: folded into the FIR they cost precision. Samples within
-    passes*N of either end (before the trim) see a zero-extended input
-    where detrend truncates its window; they survive only when
-    round(trim_s * fs) < passes*N: trim_s = 0, three or more passes, or
-    11.025 kHz by default.
+    overlap-save, which its input, carrying no trend, allows. Further
+    passes run as detrend: folded into the FIR they cost precision.
+    Samples within passes*N of either end (before the trim) see a
+    zero-extended input where detrend truncates its window; they survive
+    only when round(trim_s * fs) < passes*N: trim_s = 0, three or more
+    passes, or 11.025 kHz by default.
     """
     _require_method(config, method)
     validate_signal(signal)

@@ -95,10 +95,12 @@ def decide(score: SimilarityScore, threshold: float) -> Decision:
 
 
 def _load_epochs(path: Path, config: LockConfig, locks) -> EpochSequence:
-    """Epochs of a lock or test WAV at the locks' rate; UnreadableAudio on any failure.
+    """Epochs of a lock or test WAV at the locks' rate.
 
-    BadConfig passes through: a config unusable at the file's rate, such
-    as a sub-sample detrend window, fails every file, so none is to blame.
+    Raises UnreadableAudio on any failure except BadConfig, a config
+    unusable at the file's rate (such as a sub-sample detrend window),
+    which passes through so that verify_once reports it as a usage
+    error. The daemon quarantines the file for either.
     """
     rates = {e.source_sample_rate_hz for e in locks}
     try:
@@ -203,10 +205,14 @@ class LockSession:
         self._seen.pop(path.name, None)
 
     def _read_epochs(self, path: Path) -> EpochSequence | None:
-        """Extract epochs, quarantining the file on any decode failure."""
+        """Extract epochs, quarantining the file on any decode failure.
+
+        A file whose header makes the config unusable (BadConfig) is
+        quarantined too: a header must not be able to stop the session.
+        """
         try:
             return _load_epochs(path, self.config, self.lock_epochs.values())
-        except UnreadableAudio as exc:
+        except (UnreadableAudio, BadConfig) as exc:
             self._quarantine(path, exc)
             return None
 

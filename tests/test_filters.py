@@ -380,8 +380,8 @@ def assert_matches_oracle(got, want, method):
     """got equals the whole-buffer oracle: exactly for zpzfr, else to a tolerance.
 
     zfr and zff run their FIR by FFT where the oracle sums it directly,
-    so they may differ by 1e-10 of the output's peak (6.5e-12 is the
-    largest seen) and carry the same epochs within 1e-9 s.
+    so they may differ by 1e-10 of the output's peak and carry the same
+    epochs within 1e-9 s.
     """
     assert len(got) == len(want) and got.start_time_s == want.start_time_s
     if method == "zpzfr":
@@ -436,6 +436,20 @@ class TestBlockwiseMatchesWholeBuffer:
         cfg = FilterConfig(method, trim_s=0.0)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    @pytest.mark.parametrize("order", ["voice_then_silence", "silence_then_voice",
+                                       "silence_inside"])
+    def test_digital_silence(self, method, order):
+        # a direct sum over a window of exact zeros is exactly 0; FFT
+        # rounding noise there would cross zero every few samples
+        sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0))
+        x, gap = sig.samples, np.zeros(int(0.3 * sig.sample_rate_hz))
+        parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x),
+                 "silence_inside": (x, gap, x)}[order]
+        sig = SampledSignal(np.concatenate(parts), sig.sample_rate_hz)
+        cfg = FilterConfig(method)
+        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
+
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     @pytest.mark.parametrize("window_s", [0.005, 0.015])
     def test_detrend(self, n, window_s):
@@ -484,12 +498,14 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_fft_blocks_match_direct_convolution(self, monkeypatch, workers):
         # kernels shorter and longer than a block and than half a frame,
-        # at offsets from none to the whole kernel's overhang
+        # at offsets from none to the whole kernel's overhang; an output
+        # is exactly 0 where, and only where, its window holds only zeros
         _use_workers(monkeypatch, workers)
         monkeypatch.setattr(filters, "_BLOCK", 64)
         monkeypatch.setattr(filters, "_FRAME", 128)
         rng = np.random.default_rng(workers)
         x = rng.normal(size=700)
+        x[100:110] = x[200:500] = 0.0
         for m in (1, 5, 63, 64, 65, 100, 300):
             kernel = rng.normal(size=m)
             full = np.convolve(x, kernel)
@@ -498,6 +514,7 @@ class TestThreadedBlocks:
                 filters._convolve_blocks(x, kernel, out, offset, fft=True)
                 want = full[offset:]
                 assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+                assert np.array_equal(out == 0.0, want == 0.0)
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # a fresh pool would start threads if the lock's 2 s clip used it

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from zfepoch import (
-    BadConfig,
     Decision,
     FilterConfig,
     LockConfig,
     LockSession,
     NoLocks,
     Phase,
+    SampledSignal,
     SimilarityScore,
     UnreadableAudio,
     WatchDirMissing,
@@ -24,6 +24,7 @@ from zfepoch import (
     read_wav,
     run_daemon,
     verify_once,
+    write_wav,
 )
 from zfepoch import lock as lock_module
 from conftest import voiced_wav
@@ -106,15 +107,19 @@ class TestKeying:
         rewritten = extract_epochs(read_wav(lock5), session.config.method)
         assert np.array_equal(session.lock_epochs["lock5.wav"].times_s, rewritten.times_s)
 
-    def test_sub_sample_window_raises_and_quarantines_nothing(self, tmp_path):
-        # the config, not any file, is at fault: every file would fail
+    def test_low_rate_lock_quarantined_session_keeps_running(self, tmp_path):
+        # at 50 Hz the default 15 ms detrend window is under one sample:
+        # BadConfig for this file only, read first when no rate is keyed
         deposit_locks(tmp_path)
-        cfg = make_config(tmp_path, method=FilterConfig("zpzfr", detrend_window_s=1e-9))
-        session = LockSession(cfg)
-        with pytest.raises(BadConfig):
-            settle(session)
-        assert not (tmp_path / "quarantine").exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == cfg.lock_names()
+        noise = np.random.default_rng(0).uniform(-0.5, 0.5, 100)
+        write_wav(SampledSignal(noise, 50.0), tmp_path / "lock1.wav")
+        session = LockSession(make_config(tmp_path))
+        settle(session)
+        assert session.phase is Phase.WAITING_FOR_LOCKS
+        assert (tmp_path / "quarantine" / "lock1.wav").exists()
+        voiced_wav(tmp_path / "lock1.wav", "A", 2.0, 10)
+        settle(session)
+        assert session.phase is Phase.KEYED
 
     def test_unreadable_lock_quarantined(self, tmp_path):
         deposit_locks(tmp_path, count=4)
