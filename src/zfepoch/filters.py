@@ -27,23 +27,23 @@ preallocated output. Every SampledSignal array is read-only, and
 np.convolve and lfilter copy a read-only input whole; block by block,
 only one block is copied, so an extraction peaks at about two
 input-sized arrays. zfr and zff compute their FIR by FFT overlap-save
-over frames of _FRAME samples, to the tolerance _convolve_blocks
-states; their input carries no trend. detrend keeps a direct
-np.convolve sum, since its input may carry a large trend. The
-convolution blocks are independent, and np.convolve and scipy.fft
-release the GIL, so they run on up to min(usable CPUs, 4) threads: the
-caller and a module-private pool started on first use.
-Every block does the same arithmetic on any thread, so the output is
-bit-identical at any thread count. An input of one block, such as a
-2 s lock clip, starts no thread; each extra thread adds about 0.5 MB to
-the peak.
+over frames of _FRAME samples, to the tolerance _fft_fir states; their
+input carries no trend. detrend keeps a direct np.convolve sum, since
+its input may carry a large trend. The detrend blocks and the FIR frames
+are independent, and np.convolve and scipy.fft release the GIL, so
+_run_blocks spreads them over up to min(usable CPUs, 4) threads: the
+caller and a pool that lives only for that call. Every piece does the
+same arithmetic on any thread, so the output is bit-identical at any
+thread count. An input of one block, such as a 2 s lock clip, starts no
+thread; each extra thread adds about 0.5 MB to the peak.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +55,7 @@ from .core import (
     BadMethod,
     BadRadius,
     FilterConfig,
+    NonFinite,
     OmegaOutOfRange,
     SampledSignal,
     TooShort,
@@ -67,8 +68,9 @@ from .core import (
 _TAIL_EPS = 1e-15
 
 # samples per block in the filter stages; any size gives the same output.
-# Each convolution thread holds a copy of its block and the block's
-# result, about 0.5 MB together; a 2 s clip at 16 kHz is one block.
+# A stage runs on one thread per block of output, up to _MAX_WORKERS, so
+# a 2 s clip at 16 kHz, one block, starts no thread. A detrend thread
+# holds a copy of its block and the block's result, about 0.5 MB.
 _BLOCK = 1 << 15
 
 # samples per overlap-save frame of the FFT convolution; frames of 4096
@@ -76,11 +78,8 @@ _BLOCK = 1 << 15
 # about three frames
 _FRAME = 8192
 
-# most threads one convolution runs on, the caller included
+# most threads one filter stage runs on, the caller included
 _MAX_WORKERS = 4
-
-_pool_guard = threading.Lock()
-_pool = []
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _lfilter_blocks(sections, x: np.ndarray, out: np.ndarray, zi=None, reverse: 
 
 
 def _worker_count(blocks: int) -> int:
-    # threads for a convolution of `blocks` blocks: the CPUs this process
+    # threads for a stage of `blocks` blocks: the CPUs this process
     # may run on, capped at _MAX_WORKERS and at the number of blocks
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -173,86 +172,63 @@ def _worker_count(blocks: int) -> int:
     return max(1, min(cpus, _MAX_WORKERS, blocks))
 
 
-def _executor():
-    """The helper thread pool, created once on first use."""
-    with _pool_guard:
-        if not _pool:
-            from concurrent.futures import ThreadPoolExecutor
+def _run_blocks(n: int, size: int, block) -> None:
+    """block(i, j) over range(n) cut every size samples.
 
-            _pool.append(ThreadPoolExecutor(_MAX_WORKERS - 1, thread_name_prefix="zfepoch"))
-            # a forked child inherits the pool object but not its threads
-            os.register_at_fork(after_in_child=_pool.clear)
-        return _pool[0]
-
-
-def _convolve_blocks(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, offset: int,
-                     finish=None, fft: bool = False) -> None:
-    """out[i] = np.convolve(x, kernel)[i + offset], block by block.
-
-    Needs offset + len(out) <= len(x) + len(kernel) - 1. Each block
-    convolves its slice of x plus the kernel's overlap, and never less
-    than len(kernel) samples: a shorter slice makes np.convolve swap its
-    operands and round differently from the whole-buffer convolution.
-    With fft, a block instead runs overlap-save frames of _FRAME samples
-    (at least twice the kernel) against the kernel's spectrum, computed
-    once per call. On an input without a trend, the result differs from
-    the direct sum by under 1e-10 of max|out|; an output whose kernel
-    window holds only zero samples is exactly 0, as in the direct sum.
-    A frame's spectrum sums up to _FRAME samples, so it overflows to
-    inf at a smaller |x| than the direct sum does.
-    finish(i, j), if given, then runs on the block out[i:j] in the same
-    thread. Worker k takes every n-th block from block k; the caller is
-    worker 0, and workers 1..n-1 run on the pool. Blocks start at the
-    same samples at any worker count, so the output does not depend on it.
+    Worker k of w = _worker_count(ceil(n / _BLOCK)) takes every w-th
+    piece from piece k; the pieces do not depend on w. The caller is
+    worker 0; the others run on a pool that this call opens and joins,
+    so none outlives it, and an exception in any piece is raised here.
     """
-    m = len(kernel)
-    n = _worker_count(-(-len(out) // _BLOCK))
-    if fft:
-        size = next_fast_len(max(_FRAME, 2 * m), real=True)
-        hop = size - m + 1
-        spectrum = rfft(kernel, size)
-
-    def direct(i: int, j: int) -> None:
-        hi = min(max(j + offset, m), len(x))
-        lo = max(min(i + offset - m + 1, hi - m), 0)
-        out[i:j] = np.convolve(x[lo:hi], kernel)[i + offset - lo : j + offset - lo]
-
-    def overlap_save(i: int, j: int) -> None:
-        # frame t holds x[t - m + 1 : t + hop], zero outside x; the last
-        # hop samples of its circular convolution are the linear one's
-        frame = np.empty(size)
-        for t in range(i + offset, j + offset, hop):
-            lo, a, b = t - m + 1, max(t - m + 1, 0), min(t + hop, len(x))
-            frame[: a - lo] = 0.0
-            frame[a - lo : b - lo] = x[a:b]
-            frame[b - lo :] = 0.0
-            spec = rfft(frame)
-            spec *= spectrum
-            k = min(hop, j + offset - t)
-            y = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + k]
-            if size - np.count_nonzero(frame) >= m:
-                # a direct sum over m zero samples is exactly 0, where
-                # the FFT leaves rounding noise that crosses zero
-                nonzero = np.concatenate(([0], np.cumsum(frame != 0)))
-                y[nonzero[m : m + k] == nonzero[:k]] = 0.0
-            out[t - offset : t - offset + k] = y
-
-    convolve = overlap_save if fft else direct
+    w = _worker_count(-(-n // _BLOCK))
 
     def work(k: int) -> None:
-        for i in range(k * _BLOCK, len(out), n * _BLOCK):
-            j = min(i + _BLOCK, len(out))
-            convolve(i, j)
-            if finish is not None:
-                finish(i, j)
+        for i in range(k * size, n, w * size):
+            block(i, min(i + size, n))
 
-    helpers = [_executor().submit(work, k) for k in range(1, n)]
-    try:
+    if w == 1:
+        return work(0)
+    with ThreadPoolExecutor(w - 1, thread_name_prefix="zfepoch") as pool:
+        helpers = [pool.submit(work, k) for k in range(1, w)]
         work(0)
-    finally:
-        # no helper may still write to out once this returns
         for future in helpers:
             future.result()
+
+
+def _fft_fir(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = np.convolve(x, kernel)[i], by FFT overlap-save.
+
+    Needs len(out) <= len(x) + len(kernel) - 1. Each piece is one frame
+    of next_fast_len(max(_FRAME, 2m)) samples for an m-tap kernel. On an
+    input without a trend, the result differs from the direct sum by
+    under 1e-10 of max|out|; an output whose kernel window holds only
+    zero samples is exactly 0, as in the direct sum. A frame's spectrum
+    sums up to _FRAME samples, so it overflows sooner than a direct sum.
+    """
+    m = len(kernel)
+    size = next_fast_len(max(_FRAME, 2 * m), real=True)
+    hop = size - m + 1
+    spectrum = rfft(kernel, size)
+
+    def frame_out(t: int, j: int) -> None:
+        # the frame holds x[t - m + 1 : t + hop], zero outside x; the
+        # last hop samples of its circular convolution are the linear one's
+        frame = np.zeros(size)
+        lo, a, b = t - m + 1, max(t - m + 1, 0), min(t + hop, len(x))
+        frame[a - lo : b - lo] = x[a:b]
+        spec = rfft(frame)
+        # errstate is per thread; the caller sees an overflow as inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec *= spectrum
+        y = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + j - t]
+        if size - np.count_nonzero(frame) >= m:
+            # a direct sum over m zero samples is exactly 0, where the
+            # FFT leaves rounding noise that crosses zero
+            nonzero = np.concatenate(([0], np.cumsum(frame != 0)))
+            y[nonzero[m : m + j - t] == nonzero[: j - t]] = 0.0
+        out[t:j] = y
+
+    _run_blocks(len(out), hop, frame_out)
 
 
 def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> SampledSignal:
@@ -304,6 +280,12 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
     out = np.empty(n)
 
     def mean_removed(i: int, j: int) -> None:
+        # direct sums: a cumulative sum cancels catastrophically against a
+        # large trend, and a slice shorter than the window would make
+        # np.convolve swap its operands and round differently
+        hi = min(max(j + n_half, width), n)
+        lo = max(min(i - n_half, hi - width), 0)
+        out[i:j] = np.convolve(x[lo:hi], np.ones(width))[i + n_half - lo : j + n_half - lo]
         # the window covers 2N + 1 samples except within N of either end
         lo = min(max(i, n_half), j)
         hi = max(min(j, n - n_half), lo)
@@ -312,9 +294,7 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
         out[hi:j] /= (n + n_half) - np.arange(hi, j)
         np.subtract(x[i:j], out[i:j], out=out[i:j])
 
-    # Sums come from a direct convolution: a cumulative-sum shortcut
-    # cancels catastrophically against a large trend.
-    _convolve_blocks(x, np.ones(width), out, n_half, mean_removed)
+    _run_blocks(n, _BLOCK, mean_removed)
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
@@ -368,13 +348,21 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     return y
 
 
-def _require_method(config: FilterConfig, method: str) -> None:
+@contextmanager
+def _pipeline_input(signal: SampledSignal, config: FilterConfig, method: str):
+    """Check config.method and the input; yield it, pre-emphasized if set.
+
+    Every stage validates its input, so a later non-finite sample means
+    a filter overflowed float64, and is reported as that.
+    """
     if config.method != method:
         raise BadMethod(f"config.method is {config.method!r}, expected {method!r}")
-
-
-def _preemphasized(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    return differentiate(signal) if config.preemphasis else signal
+    validate_signal(signal)
+    try:
+        with np.errstate(over="ignore"):
+            yield differentiate(signal) if config.preemphasis else signal
+    except NonFinite:
+        raise NonFinite(f"the {method} filter overflowed; scale the input down") from None
 
 
 def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
@@ -409,23 +397,21 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
     only when round(trim_s * fs) < passes*N: trim_s = 0, three or more
     passes, or 11.025 kHz by default.
     """
-    _require_method(config, method)
-    validate_signal(signal)
-    out = _preemphasized(signal, config)
-    m = min(config.detrend_passes, 2)
-    n_half = _window_half_width(out, config.detrend_window_s)
-    # the sections need the leading m*N samples for their state
-    y = np.empty(m * n_half + len(out))
-    _convolve_blocks(out.samples, _zff_kernel(n_half, m), y, 0, fft=True)
-    d2, a = [1.0, -2.0, 1.0], _resonator_sos(config.r)
-    sections = [(b, a) for b in (d2, d2 if m == 2 else [1.0]) if b != a]
-    if sections:
-        _lfilter_blocks(sections, y, y)
-    # rebinding out frees each stage's array once the next has its output
-    out = SampledSignal(y[m * n_half :], out.sample_rate_hz, out.start_time_s)
-    for _ in range(config.detrend_passes - 2):
-        out = detrend(out, config.detrend_window_s)
-    return trim_ends(out, config.trim_s)
+    with _pipeline_input(signal, config, method) as out:
+        m = min(config.detrend_passes, 2)
+        n_half = _window_half_width(out, config.detrend_window_s)
+        # the sections need the leading m*N samples for their state
+        y = np.empty(m * n_half + len(out))
+        _fft_fir(out.samples, _zff_kernel(n_half, m), y)
+        d2, a = [1.0, -2.0, 1.0], _resonator_sos(config.r)
+        sections = [(b, a) for b in (d2, d2 if m == 2 else [1.0]) if b != a]
+        if sections:
+            _lfilter_blocks(sections, y, y)
+        # rebinding out frees each stage's array once the next has its output
+        out = SampledSignal(y[m * n_half :], out.sample_rate_hz, out.start_time_s)
+        for _ in range(config.detrend_passes - 2):
+            out = detrend(out, config.detrend_window_s)
+        return trim_ends(out, config.trim_s)
 
 
 def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
@@ -445,15 +431,13 @@ def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal
     zero-phase output puts a clean negative peak at each excitation
     instant, and a first-difference stage would skew that symmetry.
     """
-    _require_method(config, "zpzfr")
-    validate_signal(signal)
-    out = _preemphasized(signal, config)
-    out = SampledSignal(
-        _zero_phase_double_pole(out.samples, config.r), out.sample_rate_hz, out.start_time_s
-    )
-    for _ in range(config.detrend_passes):
-        out = detrend(out, config.detrend_window_s)
-    return trim_ends(out, config.trim_s)
+    with _pipeline_input(signal, config, "zpzfr") as out:
+        out = SampledSignal(
+            _zero_phase_double_pole(out.samples, config.r), out.sample_rate_hz, out.start_time_s
+        )
+        for _ in range(config.detrend_passes):
+            out = detrend(out, config.detrend_window_s)
+        return trim_ends(out, config.trim_s)
 
 
 _PIPELINES = {

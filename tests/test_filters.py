@@ -297,6 +297,28 @@ class TestInputRange:
             run_pipeline(SampledSignal(sig.samples * 1e300, sig.sample_rate_hz),
                          FilterConfig(method))
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("method,scale", [("zfr", 1e300), ("zff", 1e300), ("zfr", 1e303),
+                                              ("zff", 1e303), ("zpzfr", 1e303)])
+    def test_overflow_is_reported_as_overflow(self, monkeypatch, method, scale, workers):
+        # the input is finite, so its samples are not to blame, and no
+        # numpy warning may escape from any thread
+        _use_workers(monkeypatch, workers)
+        sig, _ = synth_voice(speaker("A", 5.0, seed=3, noise_snr_db=20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"^the {method} filter overflowed"):
+                run_pipeline(SampledSignal(sig.samples * scale, sig.sample_rate_hz),
+                             FilterConfig(method))
+
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    def test_overflowing_pre_emphasis_is_reported_as_overflow(self, method):
+        sig = SampledSignal(np.tile([1.5e308, -1.5e308], 8000), 16000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"^the {method} filter overflowed"):
+                run_pipeline(sig, FilterConfig(method, preemphasis=True))
+
     @pytest.mark.parametrize("method", ["zfr", "zff"])
     def test_huge_input_keeps_the_oracle_epochs(self, method):
         sig, _ = synth_voice(speaker("A", 1.0, seed=3, noise_snr_db=20.0))
@@ -487,10 +509,11 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("method", ["zfr", "zff"])
     def test_fir_longer_than_block(self, monkeypatch, method, workers):
-        # every 64-sample block runs one frame, and the 477-tap kernel
-        # reaches back over several earlier blocks
+        # the 477-tap kernel widens each frame past _FRAME, to twice its
+        # length; 64-sample blocks spread the frames over the workers
         _use_workers(monkeypatch, workers)
         monkeypatch.setattr(filters, "_BLOCK", 64)
+        monkeypatch.setattr(filters, "_FRAME", 64)
         sig = SampledSignal(np.random.default_rng(workers).normal(size=1000), 16000.0)
         cfg = FilterConfig(method, trim_s=0.0)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
@@ -498,8 +521,9 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_fft_blocks_match_direct_convolution(self, monkeypatch, workers):
         # kernels shorter and longer than a block and than half a frame,
-        # at offsets from none to the whole kernel's overhang; an output
-        # is exactly 0 where, and only where, its window holds only zeros
+        # for the full output, the input's length and one sample; an
+        # output is exactly 0 where, and only where, its window holds
+        # only zeros
         _use_workers(monkeypatch, workers)
         monkeypatch.setattr(filters, "_BLOCK", 64)
         monkeypatch.setattr(filters, "_FRAME", 128)
@@ -509,22 +533,63 @@ class TestThreadedBlocks:
         for m in (1, 5, 63, 64, 65, 100, 300):
             kernel = rng.normal(size=m)
             full = np.convolve(x, kernel)
-            for offset in (0, 1, m // 2, m - 1):
-                out = np.empty(len(full) - offset)
-                filters._convolve_blocks(x, kernel, out, offset, fft=True)
-                want = full[offset:]
+            for length in (len(full), len(x), 1):
+                out = np.empty(length)
+                filters._fft_fir(x, kernel, out)
+                want = full[:length]
                 assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
                 assert np.array_equal(out == 0.0, want == 0.0)
 
     def test_one_block_starts_no_thread(self, monkeypatch):
-        # a fresh pool would start threads if the lock's 2 s clip used it
-        monkeypatch.setattr(filters, "_pool", [])
+        # every stage of the lock's 2 s clip runs on the calling thread;
+        # counting starts also catches a thread joined before the call
+        # returns
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
         sig, _ = synth_voice(speaker("A", 2.0, seed=3, noise_snr_db=20.0))
         before = threading.active_count()
         for method in ("zfr", "zff", "zpzfr"):
             run_pipeline(sig, FilterConfig(method))
         assert threading.active_count() == before
-        assert filters._pool == []
+        assert starts == []
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        _use_workers(monkeypatch, 2)
+
+        def block(i, j):
+            if i == _BLOCK:  # the second piece, a helper's
+                raise ZeroDivisionError(threading.current_thread().name)
+
+        with pytest.raises(ZeroDivisionError, match="^zfepoch"):
+            filters._run_blocks(2 * _BLOCK, _BLOCK, block)
+
+    def test_caller_exception_waits_for_the_helpers(self, monkeypatch):
+        # no helper may still write to an output once _run_blocks returns
+        _use_workers(monkeypatch, 2)
+        done = []
+
+        def block(i, j):
+            if i == 0:
+                raise ZeroDivisionError
+            time.sleep(0.2)
+            done.append(i)
+
+        with pytest.raises(ZeroDivisionError):
+            filters._run_blocks(2 * _BLOCK, _BLOCK, block)
+        assert done == [_BLOCK]
+
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    def test_no_helper_outlives_the_call(self, monkeypatch, method):
+        _use_workers(monkeypatch, 4)
+        sig = SampledSignal(np.random.default_rng(5).normal(size=5 * _BLOCK), 16000.0)
+        run_pipeline(sig, FilterConfig(method))
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("zfepoch")]
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_window_wider_than_block(self, monkeypatch, workers):
@@ -545,8 +610,8 @@ class TestThreadedBlocks:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
-        # the child inherits the parent's pool object but none of its
-        # threads; work queued on that pool would wait forever
+        # the child inherits none of the parent's threads; work queued
+        # for one of them would wait forever
         _use_workers(monkeypatch, 2)
         sig = SampledSignal(np.random.default_rng(4).normal(size=3 * _BLOCK), 16000.0)
         cfg = FilterConfig("zff")
@@ -570,8 +635,8 @@ class TestThreadedBlocks:
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
-        # two callers share the pool; more workers than this machine's
-        # cores and a short switch interval make interleaving likely
+        # two callers run their pools at once; more workers than this
+        # machine's cores and a short switch interval make interleaving likely
         _use_workers(monkeypatch, 4)
         sigs = [SampledSignal(np.random.default_rng(k).normal(size=3 * _BLOCK + 9), 16000.0)
                 for k in range(2)]
