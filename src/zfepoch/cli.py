@@ -2,8 +2,10 @@
 
 Commands compose through files (WAV in, CSV/JSON out) so each stage can
 be scripted independently. Exit codes: 0 success, 1 processing error,
-2 bad arguments; `lock --once` exits 0 when the decision is open and 3
-when closed, so scripts can branch on the verdict.
+2 bad arguments (any BadConfig, subclasses included); `lock --once`
+exits 0 when the decision is open and 3 when closed, so scripts can
+branch on the verdict. main is the one place that maps an exception to
+an exit code.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .synth import impulse_train, speaker, synth_voice
 
 EXIT_OK = 0
 EXIT_PROCESSING = 1
-EXIT_USAGE = 2
 EXIT_CLOSED = 3
 
 
@@ -67,26 +68,20 @@ def _add_match_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alignment", choices=("index", "nearest"), default="index")
 
 
-def _filter_config(args, parser: argparse.ArgumentParser) -> FilterConfig:
+def _filter_config(args) -> FilterConfig:
     pre = {"auto": None, "on": True, "off": False}[args.preemphasis]
-    try:
-        return FilterConfig(
-            method=args.method,
-            r=args.r,
-            detrend_window_s=args.window / 1000.0,
-            detrend_passes=args.passes,
-            trim_s=None if args.trim is None else args.trim / 1000.0,
-            preemphasis=pre,
-        )
-    except ZfepochError as exc:
-        parser.error(str(exc))
+    return FilterConfig(
+        method=args.method,
+        r=args.r,
+        detrend_window_s=args.window / 1000.0,
+        detrend_passes=args.passes,
+        trim_s=None if args.trim is None else args.trim / 1000.0,
+        preemphasis=pre,
+    )
 
 
-def _match_config(args, parser: argparse.ArgumentParser) -> MatchConfig:
-    try:
-        return MatchConfig(epsilon_s=args.epsilon / 1000.0, alignment=args.alignment)
-    except ZfepochError as exc:
-        parser.error(str(exc))
+def _match_config(args) -> MatchConfig:
+    return MatchConfig(epsilon_s=args.epsilon / 1000.0, alignment=args.alignment)
 
 
 def _load_epochs(path: str, config: FilterConfig) -> EpochSequence:
@@ -97,8 +92,8 @@ def _load_epochs(path: str, config: FilterConfig) -> EpochSequence:
     return extract_epochs(zio.read_wav(p), config)
 
 
-def _cmd_extract(args, parser) -> int:
-    config = _filter_config(args, parser)
+def _cmd_extract(args) -> int:
+    config = _filter_config(args)
     detector = {"auto": None, "crossings": "crossings",
                 "negative-peaks": "negative_peaks"}[args.detector]
     epochs = extract_epochs(zio.read_wav(args.in_path), config, detector)
@@ -109,9 +104,9 @@ def _cmd_extract(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args, parser) -> int:
-    config = _filter_config(args, parser)
-    match = _match_config(args, parser)
+def _cmd_compare(args) -> int:
+    config = _filter_config(args)
+    match = _match_config(args)
     lock_epochs = _load_epochs(args.lock, config)
     test_epochs = _load_epochs(args.test, config)
     score = delta12_count(deltas(test_epochs), deltas(lock_epochs), match)
@@ -124,10 +119,10 @@ def _cmd_compare(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_egg(args, parser) -> int:
+def _cmd_verify_egg(args) -> int:
     if not args.tolerance > 0.0:
-        parser.error(f"--tolerance must be positive, got {args.tolerance:g}")
-    config = _filter_config(args, parser)
+        raise BadConfig(f"--tolerance must be positive, got {args.tolerance:g}")
+    config = _filter_config(args)
     detected = extract_epochs(zio.read_wav(args.audio), config)
     reference = egg_reference_epochs(zio.read_wav(args.egg))
     report = evaluate(detected, reference, args.tolerance / 1000.0)
@@ -139,16 +134,13 @@ def _cmd_verify_egg(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args, parser) -> int:
+def _cmd_analyze(args) -> int:
     if args.points < 1:
-        parser.error(f"--points must be at least 1, got {args.points}")
+        raise BadConfig(f"--points must be at least 1, got {args.points}")
     r = args.r if args.r is not None else (1.0 if args.method == "zff" else DEFAULT_R)
-    try:
-        omega = np.linspace(0.0, np.pi, args.points + 2)[1:-1]
-        response = frequency_response(args.method, r, omega)
-        report = pole_report(args.method, r)
-    except ZfepochError as exc:
-        parser.error(str(exc))
+    omega = np.linspace(0.0, np.pi, args.points + 2)[1:-1]
+    response = frequency_response(args.method, r, omega)
+    report = pole_report(args.method, r)
     zio.write_response_csv(response, args.out)
     poles = ", ".join(f"{p.real:g}{'' if p.imag == 0 else f'{p.imag:+g}j'} (x{m})"
                       for p, m in report.poles)
@@ -158,28 +150,22 @@ def _cmd_analyze(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_lock(args, parser) -> int:
-    try:
-        env = env_overrides()
-    except ZfepochError as exc:
-        parser.error(str(exc))
+def _cmd_lock(args) -> int:
+    env = env_overrides()
     watch_dir = args.dir or env.get("watch_dir")
     if watch_dir is None:
-        parser.error("--dir is required (or set ZFEPOCH_WATCH_DIR)")
+        raise BadConfig("--dir is required (or set ZFEPOCH_WATCH_DIR)")
     threshold = args.threshold
     if threshold is None:
         threshold = float(env.get("threshold", DEFAULT_THRESHOLD))
-    try:
-        config = LockConfig(
-            watch_dir=Path(watch_dir),
-            lock_file_count=args.count,
-            threshold=threshold,
-            poll_interval_s=args.poll,
-            method=_filter_config(args, parser),
-            match=_match_config(args, parser),
-        )
-    except ZfepochError as exc:
-        parser.error(str(exc))
+    config = LockConfig(
+        watch_dir=Path(watch_dir),
+        lock_file_count=args.count,
+        threshold=threshold,
+        poll_interval_s=args.poll,
+        method=_filter_config(args),
+        match=_match_config(args),
+    )
     if args.once:
         decision, score = verify_once(config)
         print(f"decision={decision.value} average={score.average:g} "
@@ -192,15 +178,12 @@ def _cmd_lock(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_synth(args, parser) -> int:
-    try:
-        spec = speaker(args.speaker, args.duration, seed=args.seed,
-                       noise_snr_db=args.noise_snr, sample_rate_hz=args.fs)
-        signal, truth = synth_voice(spec) if not args.raw_train else impulse_train(spec)
-    except ZfepochError as exc:
-        parser.error(str(exc))
+def _cmd_synth(args) -> int:
+    spec = speaker(args.speaker, args.duration, seed=args.seed,
+                   noise_snr_db=args.noise_snr, sample_rate_hz=args.fs)
+    signal, truth = synth_voice(spec) if not args.raw_train else impulse_train(spec)
     if len(signal) == 0:
-        parser.error(f"--duration {args.duration:g} s holds no samples at {args.fs:g} Hz")
+        raise BadConfig(f"--duration {args.duration:g} s holds no samples at {args.fs:g} Hz")
     peak = np.max(np.abs(signal.samples))
     if peak > 1.0:
         # keep the 16-bit quantizer from clipping resonated impulses
@@ -287,10 +270,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except BadConfig as exc:
-        # a flag only the input shows to be unusable, such as a detrend
-        # window under one sample period at the file's rate
+        # exit 2 for any config fault: a flag illegal on its own, or only
+        # at the input's rate, such as a sub-sample detrend window
         parser.error(str(exc))
     except (ZfepochError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,11 +37,15 @@ class TooShort(ZfepochError):
     """Signal has too few samples for the requested operation."""
 
 
-class BadRadius(ZfepochError):
+class BadConfig(ZfepochError, ValueError):
+    """Configuration field has an illegal value; the CLI exits 2 for it."""
+
+
+class BadRadius(BadConfig):
     """Pole radius is outside the legal range for the chosen method."""
 
 
-class BadMethod(ZfepochError):
+class BadMethod(BadConfig):
     """Unknown filtering method name."""
 
 
@@ -53,19 +57,15 @@ class TrimTooLarge(ZfepochError):
     """Edge trim would consume the whole signal."""
 
 
-class OmegaOutOfRange(ZfepochError):
+class OmegaOutOfRange(BadConfig):
     """Frequency grid point falls outside (0, pi]."""
-
-
-class BadConfig(ZfepochError, ValueError):
-    """Configuration field has an illegal value."""
 
 
 class BadSequence(ZfepochError, ValueError):
     """Epoch times or delta intervals are out of order or not positive."""
 
 
-class BadSpec(ZfepochError):
+class BadSpec(BadConfig):
     """Synthesis recipe has an illegal field value."""
 
 

@@ -270,7 +270,8 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
     """Subtract the running mean over a window of window_s seconds.
 
     The window covers N = round(window_s * fs / 2) samples on each side
-    and is truncated where it overhangs the signal ends.
+    and is truncated where it overhangs the signal ends. Raises
+    NonFinite if a window sum overflows float64.
     """
     validate_signal(signal)
     n_half = _window_half_width(signal, window_s)
@@ -293,6 +294,9 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
         out[lo:hi] /= width
         out[hi:j] /= (n + n_half) - np.arange(hi, j)
         np.subtract(x[i:j], out[i:j], out=out[i:j])
+        # checked while the block is in cache; the input was finite
+        if not np.isfinite(out[i:j]).all():
+            raise NonFinite("detrend overflowed; scale the input down")
 
     _run_blocks(n, _BLOCK, mean_removed)
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)

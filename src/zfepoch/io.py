@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import wave
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -130,15 +131,7 @@ def read_epochs_csv(path, source_sample_rate_hz: float = 16000.0) -> EpochSequen
 
 def write_epochs_json(epochs: EpochSequence, config: FilterConfig, path) -> None:
     """Epoch times plus the filter parameters that produced them."""
-    payload = {
-        "method": config.method,
-        "r": config.r,
-        "detrend_window_s": config.detrend_window_s,
-        "detrend_passes": config.detrend_passes,
-        "trim_s": config.trim_s,
-        "preemphasis": config.preemphasis,
-        "times_s": [round(float(t), 9) for t in epochs.times_s],
-    }
+    payload = {**asdict(config), "times_s": [round(float(t), 9) for t in epochs.times_s]}
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
@@ -152,8 +145,7 @@ def write_score_json(
         "average": score.average,
         "delta12_count": score.delta12_count,
         "compared_pairs": score.compared_pairs,
-        "epsilon_s": cfg.epsilon_s,
-        "alignment": cfg.alignment,
+        **asdict(cfg),
     }
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 

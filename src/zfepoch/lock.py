@@ -97,10 +97,10 @@ def decide(score: SimilarityScore, threshold: float) -> Decision:
 def _load_epochs(path: Path, config: LockConfig, locks) -> EpochSequence:
     """Epochs of a lock or test WAV at the locks' rate.
 
-    Raises UnreadableAudio on any failure except BadConfig, a config
-    unusable at the file's rate (such as a sub-sample detrend window),
-    which passes through so that verify_once reports it as a usage
-    error. The daemon quarantines the file for either.
+    Raises UnreadableAudio on any failure except BadConfig, any config
+    fault (such as a detrend window under one sample at the file's
+    rate), which passes through so that verify_once reports it as a
+    usage error. The daemon quarantines the file for either.
     """
     rates = {e.source_sample_rate_hz for e in locks}
     try:

@@ -51,8 +51,8 @@ class SynthSpec:
     formant_poles_after: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0.0:
-            raise BadSpec(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise BadSpec(f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
         if self.duration_s < 0.0 or not math.isfinite(self.duration_s):
             raise BadSpec(f"duration_s must be >= 0, got {self.duration_s}")
         if not 0.0 <= self.jitter_fraction <= 0.05:

@@ -6,8 +6,19 @@ import wave
 import numpy as np
 import pytest
 
-from zfepoch import EpochSequence, SampledSignal, read_epochs_csv, write_epochs_csv, write_wav
-from zfepoch.cli import main
+from zfepoch import (
+    BadConfig,
+    BadMethod,
+    BadRadius,
+    BadSpec,
+    EpochSequence,
+    OmegaOutOfRange,
+    SampledSignal,
+    read_epochs_csv,
+    write_epochs_csv,
+    write_wav,
+)
+from zfepoch.cli import build_parser, main
 from conftest import voiced_wav
 
 
@@ -192,6 +203,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+
+class TestConfigFaultContract:
+    @pytest.mark.parametrize("cls", [BadMethod, BadRadius, OmegaOutOfRange, BadSpec])
+    def test_config_faults_are_bad_config(self, cls):
+        assert issubclass(cls, BadConfig)
+
+    @pytest.mark.parametrize("argv,cls", [
+        (["extract", "--in", "x.wav", "--out", "o.csv", "--method", "zfr", "--r", "1.5"],
+         BadRadius),
+        (["synth", "--fs", "inf", "--out", "s.wav"], BadSpec),
+        (["analyze", "--method", "zfr", "--r", "1.5", "--out", "r.csv"], BadRadius),
+        (["lock", "--dir", ".", "--once", "--count", "0"], BadConfig),
+    ], ids=["extract-r", "synth-fs", "analyze-r", "lock-count"])
+    def test_command_raises_and_main_exits_2(self, tmp_path, monkeypatch, argv, cls):
+        # the command lets its config fault through; main alone maps it
+        monkeypatch.chdir(tmp_path)
+        args = build_parser().parse_args(argv)
+        with pytest.raises(cls):
+            args.func(args)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestVerifyEgg:

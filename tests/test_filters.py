@@ -319,6 +319,21 @@ class TestInputRange:
             with pytest.raises(NonFinite, match=f"^the {method} filter overflowed"):
                 run_pipeline(sig, FilterConfig(method, preemphasis=True))
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_detrend_overflow_raises(self, monkeypatch, workers):
+        # five blocks of 1.5e308 and 1e307: every 241-sample window sum
+        # overflows float64
+        _use_workers(monkeypatch, workers)
+        x = np.repeat([1.5e308, 1e307, 1.5e308, 1e307, 1.5e308], filters._BLOCK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="^detrend overflowed"):
+                detrend(SampledSignal(x, 16000.0), 0.015)
+            # scaled so that zpzfr's resonator stays finite and its
+            # detrend overflows
+            with pytest.raises(NonFinite, match="^the zpzfr filter overflowed"):
+                run_pipeline(SampledSignal(x * 1e-8, 16000.0), FilterConfig("zpzfr"))
+
     @pytest.mark.parametrize("method", ["zfr", "zff"])
     def test_huge_input_keeps_the_oracle_epochs(self, method):
         sig, _ = synth_voice(speaker("A", 1.0, seed=3, noise_snr_db=20.0))

@@ -237,6 +237,24 @@ class TestStructuredText:
         assert payload["alignment"] == "index"
         assert payload["lock_ids"][0] == "lock1.wav"
 
+    def test_payloads_are_byte_identical(self, tmp_path):
+        # every config field, in declaration order, after the score fields
+        epochs_path, score_path = tmp_path / "e.json", tmp_path / "s.json"
+        cfg = FilterConfig("zfr", r=0.96, detrend_window_s=0.01, detrend_passes=3,
+                           trim_s=0.005, preemphasis=False)
+        write_epochs_json(EpochSequence([0.1, 0.25], 16000.0), cfg, epochs_path)
+        write_score_json(SimilarityScore(3, 7, (1, 2), 1.5), MatchConfig(0.00025, "nearest"),
+                         ["a.wav", "b.csv"], score_path)
+        assert epochs_path.read_bytes() == (
+            b'{\n  "method": "zfr",\n  "r": 0.96,\n  "detrend_window_s": 0.01,\n'
+            b'  "detrend_passes": 3,\n  "trim_s": 0.005,\n  "preemphasis": false,\n'
+            b'  "times_s": [\n    0.1,\n    0.25\n  ]\n}\n')
+        assert score_path.read_bytes() == (
+            b'{\n  "lock_ids": [\n    "a.wav",\n    "b.csv"\n  ],\n'
+            b'  "per_lock_counts": [\n    1,\n    2\n  ],\n  "average": 1.5,\n'
+            b'  "delta12_count": 3,\n  "compared_pairs": 7,\n  "epsilon_s": 0.00025,\n'
+            b'  "alignment": "nearest"\n}\n')
+
 
 class TestResponseCsv:
     def test_columns_and_values(self, tmp_path):

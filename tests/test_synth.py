@@ -63,6 +63,12 @@ class TestBadSpecs:
         with pytest.raises(BadSpec):
             SynthSpec(duration_s=1.0, sample_rate_hz=0.0)
 
+    @pytest.mark.parametrize("fs", [float("inf"), float("nan"), -16000.0])
+    def test_rate_not_positive_and_finite(self, fs):
+        # an infinite rate would overflow int() in impulse_train
+        with pytest.raises(BadSpec, match="sample_rate_hz"):
+            impulse_train(speaker("A", 1.0, sample_rate_hz=fs))
+
     def test_bad_jitter(self):
         with pytest.raises(BadSpec):
             SynthSpec(duration_s=1.0, jitter_fraction=0.06)
