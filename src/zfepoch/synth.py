@@ -24,6 +24,9 @@ from .core import BadSpec, EpochSequence, SampledSignal
 # this sign.
 IMPULSE_AMPLITUDE = -1.0
 
+# the most samples one float64 array can hold
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 PitchContour = float | Callable[[np.ndarray], np.ndarray] | Sequence[tuple[float, float]]
 
 
@@ -55,6 +58,12 @@ class SynthSpec:
             raise BadSpec(f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
         if self.duration_s < 0.0 or not math.isfinite(self.duration_s):
             raise BadSpec(f"duration_s must be >= 0, got {self.duration_s}")
+        # an exact comparison: a float this large is a whole number
+        if not self.duration_s * self.sample_rate_hz <= _MAX_SAMPLES:
+            raise BadSpec(
+                f"{self.duration_s} s at {self.sample_rate_hz} Hz is more samples "
+                f"than one array can hold ({_MAX_SAMPLES})"
+            )
         if not 0.0 <= self.jitter_fraction <= 0.05:
             raise BadSpec(f"jitter_fraction must be in [0, 0.05], got {self.jitter_fraction}")
         for poles in (self.formant_poles, self.formant_poles_after or ()):

@@ -14,9 +14,11 @@ buffer. extended_precision_pipeline runs the same stages in
 np.longdouble, as a reference for the float64 pipelines.
 
 whole_buffer_pipeline runs each method's stages over the whole buffer
-at once, as the pipelines did before they worked block by block. The
-block-wise stages do the same arithmetic in the same order, so their
-output must equal this one exactly.
+at once, as the pipelines did before they worked block by block, with
+the FIR and every detrend window summed directly. The pipelines compute
+the FIR by FFT and the detrend sums as running sums, so their output
+must match this one within 1e-10 of its peak, with the same epochs
+within 1e-9 s; old_detrend likewise holds detrend to 1e-10 of its peak.
 """
 
 import numpy as np

@@ -214,9 +214,10 @@ class TestConfigFaultContract:
         (["extract", "--in", "x.wav", "--out", "o.csv", "--method", "zfr", "--r", "1.5"],
          BadRadius),
         (["synth", "--fs", "inf", "--out", "s.wav"], BadSpec),
+        (["synth", "--fs", "1e300", "--out", "s.wav"], BadSpec),
         (["analyze", "--method", "zfr", "--r", "1.5", "--out", "r.csv"], BadRadius),
         (["lock", "--dir", ".", "--once", "--count", "0"], BadConfig),
-    ], ids=["extract-r", "synth-fs", "analyze-r", "lock-count"])
+    ], ids=["extract-r", "synth-fs", "synth-huge-fs", "analyze-r", "lock-count"])
     def test_command_raises_and_main_exits_2(self, tmp_path, monkeypatch, argv, cls):
         # the command lets its config fault through; main alone maps it
         monkeypatch.chdir(tmp_path)

@@ -142,6 +142,52 @@ class TestDetrend:
         with pytest.raises(WindowTooLarge):
             detrend(SampledSignal(np.ones(100), 16000.0), window_s=0.015)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_windows_of_zeros_give_exact_zeros(self, monkeypatch, workers):
+        # the direct sum over zero samples is exactly 0; running sums leave
+        # rounding noise there. Gaps at both ends, across block edges, and
+        # of exactly N + 1 samples, the fewest a truncated window holds
+        _use_workers(monkeypatch, workers)
+        monkeypatch.setattr(filters, "_BLOCK", 64)
+        x = np.cumsum(np.random.default_rng(workers).normal(size=1000))
+        n_half = 10
+        x[: n_half + 1] = x[-n_half - 1 :] = x[50:90] = x[120:141] = x[600:700] = 0.0
+        got = detrend(SampledSignal(x, 1.0), 2 * n_half + 0.1).samples
+        window_nonzeros = np.convolve(x != 0, np.ones(2 * n_half + 1), mode="same")
+        assert np.count_nonzero(window_nonzeros == 0) == 2 + 20 + 1 + 80
+        assert np.all(got[window_nonzeros == 0] == 0.0)
+        assert np.count_nonzero(got == 0.0) == np.count_nonzero(window_nonzeros == 0)
+        assert_matches_old_detrend(got, x, n_half)
+
+    def test_output_does_not_depend_on_the_block_size(self, monkeypatch):
+        # the rows of running sums start at multiples of the window width
+        x = np.cumsum(np.random.default_rng(2).normal(size=5000))
+        sig = SampledSignal(x, 16000.0)
+        want = detrend(sig, 0.0015).samples
+        for block in (64, 100, 1000):
+            monkeypatch.setattr(filters, "_BLOCK", block)
+            assert np.array_equal(detrend(sig, 0.0015).samples, want)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_large_trend_matches_extended_precision(self):
+        # the r = 1 cascade grows like n^3, and its detrended output is
+        # about 1e-3 of it: a running sum over the whole input would cancel
+        # catastrophically against that trend
+        x = np.random.default_rng(4).normal(size=300_000)
+        trend = cascaded_resonator(SampledSignal(x, 16000.0), 1.0, 2)
+        got = detrend(trend, 0.015).samples
+        want = old_detrend(trend.samples.astype(np.longdouble), 120)
+        assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 1e-10
+
+    def test_window_of_three_seconds_at_44k(self):
+        # 132301 samples, wider than a block; the direct sum costs O(N)
+        # per sample here
+        fs = 44100.0
+        x = np.cumsum(np.random.default_rng(6).normal(size=int(3.5 * fs)))
+        got = detrend(SampledSignal(x, fs), 3.0).samples
+        assert_matches_old_detrend(got, x, int(round(3.0 * fs / 2.0)))
+
 
 class TestTrimEnds:
     def test_arithmetic(self):
@@ -355,7 +401,7 @@ class TestInputRange:
     def test_window_of_one_sample_each_side_runs(self):
         sig, _ = synth_voice(speaker("A", 1.0, seed=3))
         out = detrend(sig, 1.01 / 16000.0)
-        assert np.array_equal(out.samples, old_detrend(sig.samples, 1))
+        assert_matches_old_detrend(out.samples, sig.samples, 1)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -414,16 +460,13 @@ def _epochs(filtered, method):
 
 
 def assert_matches_oracle(got, want, method):
-    """got equals the whole-buffer oracle: exactly for zpzfr, else to a tolerance.
+    """got matches the whole-buffer oracle to a tolerance.
 
-    zfr and zff run their FIR by FFT where the oracle sums it directly,
-    so they may differ by 1e-10 of the output's peak and carry the same
-    epochs within 1e-9 s.
+    zfr and zff run their FIR by FFT, and detrend its window sums as
+    running sums, where the oracle sums both directly, so the output may
+    differ by 1e-10 of its peak and carries the same epochs within 1e-9 s.
     """
     assert len(got) == len(want) and got.start_time_s == want.start_time_s
-    if method == "zpzfr":
-        assert np.array_equal(got.samples, want.samples)
-        return
     err = np.max(np.abs(got.samples - want.samples))
     assert err <= 1e-10 * np.max(np.abs(want.samples))
     t_got, t_want = _epochs(got, method), _epochs(want, method)
@@ -434,11 +477,10 @@ def assert_matches_oracle(got, want, method):
 class TestBlockwiseMatchesWholeBuffer:
     """The block-wise stages against the whole-buffer oracle.
 
-    Every direct-convolution block convolves at least a kernel's worth
-    of samples, so even a last block of one sample does the whole
-    buffer's arithmetic: detrend, the resonators and zpzfr must match
-    exactly at the block-edge lengths. zfr and zff match to the FFT
-    tolerance of assert_matches_oracle.
+    The resonator blocks carry their state, so they do the whole
+    buffer's arithmetic and must match exactly at the block-edge
+    lengths. detrend and the three pipelines match to the tolerance of
+    assert_matches_oracle.
     """
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
@@ -487,12 +529,30 @@ class TestBlockwiseMatchesWholeBuffer:
         cfg = FilterConfig(method)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    @pytest.mark.parametrize("order", ["voice_then_silence", "silence_then_voice",
+                                       "silence_inside"])
+    def test_digital_silence_at_three_passes(self, method, order):
+        # the third pass runs detrend on the sections' output, which is
+        # exactly 0 over silence wherever no section rings into it
+        sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0))
+        x, gap = sig.samples, np.zeros(int(0.3 * sig.sample_rate_hz))
+        parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x),
+                 "silence_inside": (x, gap, x)}[order]
+        sig = SampledSignal(np.concatenate(parts), sig.sample_rate_hz)
+        cfg = FilterConfig(method, detrend_passes=3)
+        got, want = run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg)
+        assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
+        if method == "zff" or (method, order) == ("zfr", "silence_then_voice"):
+            assert np.count_nonzero(want.samples == 0.0) > 4000
+        assert_matches_oracle(got, want, method)
+
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     @pytest.mark.parametrize("window_s", [0.005, 0.015])
     def test_detrend(self, n, window_s):
         x = np.cumsum(np.random.default_rng(n).normal(size=n))
         got = detrend(SampledSignal(x, 16000.0), window_s).samples
-        assert np.array_equal(got, old_detrend(x, int(round(window_s * 16000.0 / 2.0))))
+        assert_matches_old_detrend(got, x, int(round(window_s * 16000.0 / 2.0)))
 
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     @pytest.mark.parametrize("r,pairs", [(0.97, 2), (1.0, 2), (0.9, 3)])
@@ -500,6 +560,11 @@ class TestBlockwiseMatchesWholeBuffer:
         x = np.random.default_rng(n).normal(size=n)
         got = cascaded_resonator(SampledSignal(x, 16000.0), r, pairs).samples
         assert np.array_equal(got, old_cascaded_resonator(x, r, pairs))
+
+
+def assert_matches_old_detrend(got, x, n_half):
+    want = old_detrend(x, n_half)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _use_workers(monkeypatch, workers):
@@ -608,14 +673,18 @@ class TestThreadedBlocks:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_window_wider_than_block(self, monkeypatch, workers):
-        # a block whose slice is shorter than the kernel would make
-        # np.convolve swap its operands and round differently
-        _use_workers(monkeypatch, workers)
+        # a block then holds one window's row of running sums
         monkeypatch.setattr(filters, "_BLOCK", 64)
         x = np.cumsum(np.random.default_rng(workers).normal(size=300))
         for n_half in (63, 64, 100, 149):
-            got = detrend(SampledSignal(x, 16000.0), (2 * n_half + 0.1) / 16000.0).samples
-            assert np.array_equal(got, old_detrend(x, n_half))
+            sig = SampledSignal(x, 16000.0)
+            window_s = (2 * n_half + 0.1) / 16000.0
+            _use_workers(monkeypatch, 1)
+            one = detrend(sig, window_s).samples
+            _use_workers(monkeypatch, workers)
+            got = detrend(sig, window_s).samples
+            assert np.array_equal(got, one)
+            assert_matches_old_detrend(got, x, n_half)
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     def test_peak_memory_at_most_workers(self, monkeypatch, method):

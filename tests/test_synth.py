@@ -69,6 +69,13 @@ class TestBadSpecs:
         with pytest.raises(BadSpec, match="sample_rate_hz"):
             impulse_train(speaker("A", 1.0, sample_rate_hz=fs))
 
+    @pytest.mark.parametrize("duration_s,fs", [(1.0, 1e300), (1e300, 16000.0),
+                                                (2.0, 2.0**60)])
+    def test_more_samples_than_one_array_holds(self, duration_s, fs):
+        # np.arange would fail with ValueError, not a config fault
+        with pytest.raises(BadSpec, match="more samples than one array can hold"):
+            SynthSpec(duration_s=duration_s, sample_rate_hz=fs)
+
     def test_bad_jitter(self):
         with pytest.raises(BadSpec):
             SynthSpec(duration_s=1.0, jitter_fraction=0.06)
