@@ -1,10 +1,10 @@
 """Command-line surface: extract, compare, verify-egg, analyze, lock, synth.
 
 Commands compose through files (WAV in, CSV/JSON out) so each stage can
-be scripted independently. Exit codes: 0 success, 1 processing error,
-2 bad arguments (any BadConfig, subclasses included); `lock --once`
-exits 0 when the decision is open and 3 when closed, so scripts can
-branch on the verdict. main is the one place that maps an exception to
+be scripted independently. Exit codes: 0 success, 1 processing error
+(an OSError or MemoryError included), 2 bad arguments (any BadConfig,
+subclasses included); `lock --once` exits 0 when the decision is open
+and 3 when closed, so scripts can branch on the verdict. main is the one place that maps an exception to
 an exit code.
 """
 
@@ -275,7 +275,9 @@ def main(argv=None) -> int:
         # exit 2 for any config fault: a flag illegal on its own, or only
         # at the input's rate, such as a sub-sample detrend window
         parser.error(str(exc))
-    except (ZfepochError, OSError) as exc:
+    except (ZfepochError, OSError, MemoryError) as exc:
+        # MemoryError: a request within every limit but beyond this
+        # machine's memory, such as synth --fs 1e17
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
 

@@ -18,27 +18,35 @@ filters, and trims the edge anomaly; each stage returns a SampledSignal
 whose start_time_s keeps epoch times in original-recording coordinates.
 zpzfr resonates, then detrends. zfr and zff share one causal path: a
 detrend window has a double zero at z = 1, so the cascade and the first
-two passes run as one FIR and two radius-r sections whose zeros at z = 1
-meet its poles (see _causal_pipeline). No stage carries the cascade's
-trend, so precision does not depend on the input length.
+two passes are one FIR and two radius-r sections whose zeros at z = 1
+meet its poles (see _causal_pipeline). At r < 1 the sections decay and
+are folded into the kernel, so zfr's whole filter is one FIR (3057
+taps at 16 kHz and r = 0.97); at r = 1 they cancel, and zff's kernel is the FIR alone.
+No stage carries the cascade's trend, so precision does not depend on
+the input length.
 
 The filter stages run over blocks of _BLOCK samples into one
 preallocated output. Every SampledSignal array is read-only, and
 np.convolve and lfilter copy a read-only input whole; block by block,
 only one block is copied, so an extraction peaks at about two
-input-sized arrays. zfr and zff compute their FIR by FFT overlap-save
-over frames of _FRAME samples, to the tolerance _fft_fir states; their
-input carries no trend. detrend's input may carry a large trend, so its
-window sums are running sums restarted from a direct sum every window
-width: O(1) work per sample, rounding that grows over one window at
-most, and a result within 1e-10 of max|out| of the direct sum's. The
-detrend blocks and the FIR frames are independent, and numpy and
-scipy.fft release the GIL, so _run_blocks spreads them over up to
-min(usable CPUs, 4) threads: the caller and a pool that lives only for
-that call. Every piece does the same arithmetic on any thread, so the
-output is bit-identical at any thread count. An input of one block,
-such as a 2 s lock clip, starts no thread; each extra thread adds about
-0.5 MB to the peak.
+input-sized arrays. zfr and zff compute their FIR by FFT overlap-save,
+to the tolerance _fft_fir states; their input carries no trend. A frame
+holds _FRAME samples or eight kernel lengths, whichever is more: 8192
+for zff, 24576 for zfr. Over digital silence zfr's folded sections only
+ring out, far below the FFT's rounding noise, so each run of outputs
+whose FIR part sees only zero samples is recomputed by a direct FIR and
+the sections' recursion (_ring_out), and silence adds no false epochs.
+detrend's input may carry a large trend, so its window sums are running
+sums restarted from a direct sum every window width: O(1) work per
+sample, rounding that grows over one window at most, and a result
+within 1e-10 of max|out| of the direct sum's. The detrend blocks and
+the FIR frames are independent, and numpy and scipy.fft release the
+GIL, so _run_blocks spreads them over up to min(usable CPUs, 4)
+threads: the caller and a pool that lives only for that call. Every
+piece does the same arithmetic on any thread, so the output is
+bit-identical at any thread count. An input of one block, such as a
+2 s lock clip, starts no thread; each extra thread adds up to about
+0.4 MB to the peak, a zfr frame's spectrum and output.
 """
 
 from __future__ import annotations
@@ -84,6 +92,14 @@ _FRAME = 8192
 
 # most threads one filter stage runs on, the caller included
 _MAX_WORKERS = 4
+
+# a radius-r section folds into the causal FIR when its impulse response
+# stays below _FOLD_EPS of its peak from fewer than _FOLD_TAPS samples
+# in: 1291 samples at r = 0.97, 4370 at r = 0.99. The cut tail sums to
+# at most 1e-15 of the peak up to r = 0.99; the cap keeps the frames of
+# an r near 1 from growing without bound
+_FOLD_EPS = 1e-17
+_FOLD_TAPS = 8192
 
 
 @dataclass(frozen=True)
@@ -199,40 +215,80 @@ def _run_blocks(n: int, size: int, block) -> None:
             future.result()
 
 
-def _fft_fir(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
+def _zero_windows(frame: np.ndarray, m: int, taps: int, count: int):
+    """Which of a frame's first count outputs see only zero samples.
+
+    Two masks: over each output's kernel window of m samples, and over
+    the last taps samples of that window.
+    """
+    nonzero = np.zeros(len(frame) + 1, dtype=np.int32)
+    np.cumsum(frame != 0, out=nonzero[1:])
+    last = nonzero[m : m + count]
+    return last == nonzero[:count], last == nonzero[m - taps : m - taps + count]
+
+
+def _fft_fir(
+    x: np.ndarray, kernel: np.ndarray, out: np.ndarray, taps: int | None = None
+) -> list[tuple[int, int]]:
     """out[i] = np.convolve(x, kernel)[i], by FFT overlap-save.
 
     Needs len(out) <= len(x) + len(kernel) - 1. Each piece is one frame
-    of next_fast_len(max(_FRAME, 2m)) samples for an m-tap kernel. On an
-    input without a trend, the result differs from the direct sum by
-    under 1e-10 of max|out|; an output whose kernel window holds only
-    zero samples is exactly 0, as in the direct sum. A frame's spectrum
-    sums up to _FRAME samples, so it overflows sooner than a direct sum.
+    of next_fast_len(max(_FRAME, 8m)) samples for an m-tap kernel, or
+    fewer where one frame holds the whole output: a frame's hop is its
+    size less m - 1, so a kernel of a few thousand taps needs a frame of
+    several times its length to gain over the direct sum. On an input
+    without a trend, the result differs from the direct sum by under
+    1e-10 of max|out|; an output whose kernel window holds only zero
+    samples is exactly 0, as in the direct sum. A frame's spectrum sums
+    up to a frame of samples, so it overflows sooner than a direct sum.
+
+    Returns the runs (i, j), in order and with touching runs merged, of
+    the outputs whose last taps (default m) input samples are all zero.
     """
     m = len(kernel)
-    size = next_fast_len(max(_FRAME, 2 * m), real=True)
+    taps = m if taps is None else taps
+    size = next_fast_len(min(max(_FRAME, 8 * m), len(out) + m - 1), real=True)
     hop = size - m + 1
     spectrum = rfft(kernel, size)
+    runs = []
 
     def frame_out(t: int, j: int) -> None:
-        # the frame holds x[t - m + 1 : t + hop], zero outside x; the
-        # last hop samples of its circular convolution are the linear one's
-        frame = np.zeros(size)
-        lo, a, b = t - m + 1, max(t - m + 1, 0), min(t + hop, len(x))
-        frame[a - lo : b - lo] = x[a:b]
+        # the frame is x[t - m + 1 : t + hop], zero outside x, and a copy
+        # only there; the last hop samples of its circular convolution
+        # are the linear one's
+        lo, hi = t - m + 1, t + hop
+        if 0 <= lo and hi <= len(x):
+            frame = x[lo:hi]
+        else:
+            frame = np.zeros(size)
+            frame[max(-lo, 0) : min(hi, len(x)) - lo] = x[max(lo, 0) : hi]
+        # the outputs' last taps samples span frame[m - taps : m - 1 + j - t]
+        quiet = None
+        if j - t + taps - 1 - np.count_nonzero(frame[m - taps : m - 1 + j - t]) >= taps:
+            silent, quiet = _zero_windows(frame, m, taps, j - t)
         spec = rfft(frame)
+        # each thread then holds two frame-sized arrays, not three
+        del frame
         # errstate is per thread; the caller sees an overflow as inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             spec *= spectrum
         y = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + j - t]
-        if size - np.count_nonzero(frame) >= m:
+        if quiet is not None:
             # a direct sum over m zero samples is exactly 0, where the
             # FFT leaves rounding noise that crosses zero
-            nonzero = np.concatenate(([0], np.cumsum(frame != 0)))
-            y[nonzero[m : m + j - t] == nonzero[: j - t]] = 0.0
+            y[silent] = 0.0
+            edges = np.flatnonzero(np.diff(quiet, prepend=False, append=False)) + t
+            runs.extend(zip(edges[::2].tolist(), edges[1::2].tolist()))
         out[t:j] = y
 
     _run_blocks(len(out), hop, frame_out)
+    merged = []
+    for i, j in sorted(runs):
+        if merged and merged[-1][1] == i:
+            merged[-1] = (merged[-1][0], j)
+        else:
+            merged.append((i, j))
+    return merged
 
 
 def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> SampledSignal:
@@ -417,31 +473,89 @@ def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
     return np.pad(kernel, (0, max(0, passes * n_half + 1 - len(kernel))))
 
 
+def _section_response(b: list[float], r: float) -> np.ndarray | None:
+    """Impulse response of the section b / (1 - r z^-1)^2, cut to an FIR.
+
+    The response is b convolved with (n+1) r^n. It is cut after its last
+    sample of at least _FOLD_EPS of its peak; None if that sample lies
+    _FOLD_TAPS or more samples in, as at r = 1, where it never decays.
+    """
+    n = np.arange(_FOLD_TAPS)
+    response = np.convolve(b, (n + 1) * float(r) ** n)[:_FOLD_TAPS]
+    last = np.flatnonzero(np.abs(response) >= _FOLD_EPS * np.max(np.abs(response)))[-1]
+    # a copy, so that the _FOLD_TAPS samples are not kept alive
+    return response[: last + 1].copy() if last + 1 < _FOLD_TAPS else None
+
+
+def _ring_out(x: np.ndarray, fir: np.ndarray, sections, y: np.ndarray, runs, reach: int):
+    """Recompute y over runs whose FIR part saw only zero samples of x.
+
+    There y is x convolved with fir, then filtered by the sections: only
+    their ring-out, which decays far below the FFT's rounding noise.
+    Each run is recomputed whole, in order, as a direct sum of the FIR
+    and the sections from zero state reach outputs before it; cut into
+    pieces, a piece would start from zero and put an exact 0 after a
+    negative ring, which the detector counts as a crossing.
+    """
+    for s, e in runs:
+        if s == 0:
+            # no sample of x precedes the run: its kernel windows hold
+            # only zeros, so _fft_fir left it exactly 0
+            continue
+        lo = max(s - reach, 0)
+        a = max(lo - len(fir) + 1, 0)
+        head = np.convolve(x[a:s], fir)[lo - a : s - a]
+        states = _lfilter_blocks(sections, head, head)
+        y[s:e] = 0.0
+        _lfilter_blocks(sections, y[s:e], y[s:e], zi=states)
+
+
 def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -> SampledSignal:
     """Difference, the cascade 1/(1 - r z^-1)^4, the detrend passes, trim.
 
     Two detrend windows are z^2N q^2 (1 - z^-1)^4, so the cascade and the
-    first m = min(passes, 2) passes run as the FIR q^m, then the sections
-    (1 - z^-1)^2 / (1 - r z^-1)^2 and (1 - z^-1)^(2m-2) / (1 - r z^-1)^2;
-    a section whose zeros cancel its poles (r = 1) is skipped. Output
-    sample i is sample i + m*N of that run. The FIR runs by FFT
-    overlap-save, which its input, carrying no trend, allows. Further
-    passes run as detrend: folded into the FIR they cost precision.
-    Samples within passes*N of either end (before the trim) see a
-    zero-extended input where detrend truncates its window; they survive
-    only when round(trim_s * fs) < passes*N: trim_s = 0, three or more
-    passes, or 11.025 kHz by default.
+    first m = min(passes, 2) passes are the FIR q^m, then the sections
+    (1 - z^-1)^2 / (1 - r z^-1)^2 and (1 - z^-1)^(2m-2) / (1 - r z^-1)^2.
+    A section whose zeros cancel its poles (r = 1) is skipped. One whose
+    response decays (r < 1) is folded into the kernel, truncated where
+    it stays below _FOLD_EPS of its peak: zfr's whole filter is then one
+    FIR, q^m convolved with the two responses, 3057 taps at 16 kHz and
+    r = 0.97. A section that does not decay (zff's double integrator at
+    one pass) runs recursively after the FIR. Output sample i is sample
+    i + m*N of that run. The FIR runs by FFT overlap-save, which its
+    input, carrying no trend, allows. Over digital silence a folded
+    section only rings out, below the FFT's rounding noise, so outputs
+    whose FIR part (q^m and the folded sections' numerators) sees only
+    zero samples are recomputed directly (see _ring_out). Further passes
+    run as detrend: folded into the FIR they cost precision. Samples
+    within passes*N of either end (before the trim) see a zero-extended
+    input where detrend truncates its window; they survive only when
+    round(trim_s * fs) < passes*N: trim_s = 0, three or more passes, or
+    11.025 kHz by default.
     """
     with _pipeline_input(signal, config, method) as out:
         m = min(config.detrend_passes, 2)
         n_half = _window_half_width(out, config.detrend_window_s)
-        # the sections need the leading m*N samples for their state
-        y = np.empty(m * n_half + len(out))
-        _fft_fir(out.samples, _zff_kernel(n_half, m), y)
+        fir = _zff_kernel(n_half, m)
         d2, a = [1.0, -2.0, 1.0], _resonator_sos(config.r)
-        sections = [(b, a) for b in (d2, d2 if m == 2 else [1.0]) if b != a]
-        if sections:
-            _lfilter_blocks(sections, y, y)
+        kernel, taps, folded, recursive = fir, len(fir), [], []
+        for b in (d2, d2 if m == 2 else [1.0]):
+            if b == a:
+                continue
+            response = _section_response(b, config.r)
+            if response is None:
+                recursive.append((b, a))
+            else:
+                folded.append((b, a))
+                kernel = np.convolve(kernel, response)
+                taps += len(b) - 1
+        # recursive sections need the leading m*N samples for their state
+        y = np.empty(m * n_half + len(out))
+        runs = _fft_fir(out.samples, kernel, y, taps)
+        if folded:
+            _ring_out(out.samples, fir, folded, y, runs, len(kernel))
+        if recursive:
+            _lfilter_blocks(recursive, y, y)
         # rebinding out frees each stage's array once the next has its output
         out = SampledSignal(y[m * n_half :], out.sample_rate_hz, out.start_time_s)
         for _ in range(config.detrend_passes - 2):

@@ -229,6 +229,15 @@ class TestConfigFaultContract:
         assert exc.value.code == 2
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # 1e17 samples pass every limit of SynthSpec, and the first
+        # allocation, of 1.39 EiB, fails at once
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--fs", "1e17", "--out", "s.wav"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestVerifyEgg:
     def test_synthetic_egg_agreement(self, tmp_path, capsys):

@@ -35,6 +35,7 @@ from zfepoch import (
     detect_positive_zero_crossings,
     detrend,
     differentiate,
+    extract_epochs,
     frequency_response,
     impulse_train,
     pole_report,
@@ -277,11 +278,13 @@ class TestZffBehavior:
         assert rel / np.max(np.abs(segmented.samples)) <= 1e-2
 
     @pytest.mark.parametrize("method,passes,sections", [
-        ("zff", 1, 1), ("zff", 2, 0), ("zff", 3, 0), ("zfr", 1, 2), ("zfr", 3, 2),
+        ("zff", 1, 1), ("zff", 2, 0), ("zff", 3, 0), ("zfr", 1, 0), ("zfr", 3, 0),
     ])
     def test_sections_whose_zeros_cancel_their_poles_are_skipped(self, monkeypatch, method,
                                                                  passes, sections):
-        # at r = 1 such a section is an exact identity, so only its cost shows
+        # at r = 1 such a section is an exact identity, so only its cost
+        # shows; zfr's sections decay, so they are folded into its FIR, and
+        # only zff's double integrator at one pass still runs recursively
         real = filters.lfilter
         calls = []
         monkeypatch.setattr(filters, "lfilter",
@@ -307,6 +310,54 @@ class TestZffBehavior:
 
 
 class TestZfrBehavior:
+    @pytest.mark.parametrize("gaps", [0, 1, 3])
+    def test_folded_sections_run_only_over_zero_runs(self, monkeypatch, gaps):
+        # each run of outputs whose FIR part saw only zeros is recomputed
+        # once, by both sections over the run's head and over the run,
+        # each a single block here
+        real = filters.lfilter
+        calls = []
+        monkeypatch.setattr(filters, "lfilter",
+                            lambda b, a, x, zi: calls.append(b) or real(b, a, x, zi=zi))
+        x = np.random.default_rng(gaps).normal(size=8000)
+        for k in range(gaps):
+            x[1000 + 2000 * k : 1600 + 2000 * k] = 0.0
+        sig = SampledSignal(x, 8000.0)
+        got = run_pipeline(sig, FilterConfig("zfr"))
+        assert len(calls) == 4 * gaps
+        assert_matches_oracle(got, whole_buffer_pipeline(sig, FilterConfig("zfr")), "zfr")
+
+    @pytest.mark.parametrize("r,passes,recursive", [(0.995, 1, 1), (0.995, 2, 0), (0.999, 2, 2)])
+    def test_sections_that_outlast_the_fold_cap_run_recursively(self, monkeypatch, r, passes,
+                                                                recursive):
+        # at r = 0.995 only the lone pole pair of one pass decays too
+        # slowly to fold, at r = 0.999 both sections do: they run over the
+        # whole FIR output, and a folded one still gets its exact ring-out
+        # over the silences
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # outside the recommended range
+            cfg = FilterConfig("zfr", r=r, detrend_passes=passes)
+        voice, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0))
+        gap = np.zeros(4800)
+        sig = SampledSignal(np.concatenate((gap, voice.samples, gap, voice.samples)), 16000.0)
+        # the FIR's output: m*N = 120 * passes samples more than the
+        # pre-emphasized input
+        output = 120 * passes + len(sig) - 1
+        real = filters._lfilter_blocks
+        whole = []
+
+        def counted(sections, x, out, zi=None, reverse=False):
+            if len(x) == output:
+                whole.extend(sections)
+            return real(sections, x, out, zi, reverse)
+
+        monkeypatch.setattr(filters, "_lfilter_blocks", counted)
+        got = run_pipeline(sig, cfg)
+        assert len(whole) == recursive
+        want = whole_buffer_pipeline(sig, cfg)
+        assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
+        assert_matches_oracle(got, want, "zfr")
+
     @pytest.mark.parametrize("source", ["noise", "A", "B"])
     @pytest.mark.parametrize("passes", [1, 2, 3])
     @pytest.mark.parametrize("fs", [8000.0, 11025.0, 16000.0, 44100.0])
@@ -336,15 +387,17 @@ class TestZfrBehavior:
 class TestInputRange:
     @pytest.mark.parametrize("method", ["zfr", "zff"])
     def test_fft_overflow_raises_non_finite(self, method):
-        # each FFT frame sums thousands of samples times the kernel's
-        # 5.9e6 gain at 0 Hz: a float64 overflow, never silent garbage
+        # each FFT frame sums thousands of samples times the kernel's gain:
+        # 5.9e6 at 0 Hz for zff; zfr's kernel has none there, so it holds
+        # out to a larger scale. A float64 overflow, never silent garbage
         sig, _ = synth_voice(speaker("A", 1.0, seed=3, noise_snr_db=20.0))
+        scale = {"zfr": 1e302, "zff": 1e300}[method]
         with pytest.raises(NonFinite):
-            run_pipeline(SampledSignal(sig.samples * 1e300, sig.sample_rate_hz),
+            run_pipeline(SampledSignal(sig.samples * scale, sig.sample_rate_hz),
                          FilterConfig(method))
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("method,scale", [("zfr", 1e300), ("zff", 1e300), ("zfr", 1e303),
+    @pytest.mark.parametrize("method,scale", [("zfr", 1e302), ("zff", 1e300), ("zfr", 1e303),
                                               ("zff", 1e303), ("zpzfr", 1e303)])
     def test_overflow_is_reported_as_overflow(self, monkeypatch, method, scale, workers):
         # the input is finite, so its samples are not to blame, and no
@@ -386,6 +439,18 @@ class TestInputRange:
         sig = SampledSignal(sig.samples * 1e290, sig.sample_rate_hz)
         cfg = FilterConfig(method)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
+
+    @pytest.mark.parametrize("duration_s", [1.0, 5.0])
+    def test_zfr_at_1e300_keeps_the_unscaled_epochs(self, duration_s):
+        # zfr's one kernel has no gain at 0 Hz, so a scale at which zff's
+        # frames overflow leaves zfr's output a scaled copy
+        sig, _ = synth_voice(speaker("A", duration_s, seed=3, noise_snr_db=20.0))
+        cfg = FilterConfig("zfr")
+        huge = run_pipeline(SampledSignal(sig.samples * 1e300, sig.sample_rate_hz), cfg)
+        t_huge = detect_positive_zero_crossings(huge).times_s
+        t_want = detect_positive_zero_crossings(run_pipeline(sig, cfg)).times_s
+        assert len(t_huge) == len(t_want) > 0
+        assert np.max(np.abs(t_huge - t_want)) <= 1e-9
 
     @pytest.mark.parametrize("window_s", [1e-9, 1.0 / 16000.0])
     def test_sub_sample_window_rejected(self, window_s):
@@ -449,9 +514,16 @@ BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1,
 
 
 # FIR output lengths on either side of one and four frame hops of that
-# kernel, and of one hop into the second block
-_HOP = next_fast_len(max(_FRAME, 2 * _KERNEL), real=True) - _KERNEL + 1
-FRAME_LENGTHS = [k + d for k in (_HOP, 4 * _HOP, _BLOCK + _HOP) for d in (-1, 0, 1)]
+# kernel, of one hop into the second block, and of one and two hops of
+# zfr's kernel, which folds in two radius-0.97 sections of 1291 taps
+def _hop(kernel):
+    return next_fast_len(max(_FRAME, 8 * kernel), real=True) - kernel + 1
+
+
+_HOP = _hop(_KERNEL)
+_ZFR_HOP = _hop(_KERNEL + 2 * (len(filters._section_response([1.0, -2.0, 1.0], 0.97)) - 1))
+FRAME_LENGTHS = [k + d for k in (_HOP, 4 * _HOP, _BLOCK + _HOP, _ZFR_HOP, 2 * _ZFR_HOP)
+                 for d in (-1, 0, 1)]
 
 
 def _epochs(filtered, method):
@@ -517,17 +589,28 @@ class TestBlockwiseMatchesWholeBuffer:
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     @pytest.mark.parametrize("order", ["voice_then_silence", "silence_then_voice",
-                                       "silence_inside"])
+                                       "silence_inside", "gap_of_600",
+                                       "gap_longer_than_block", "silence_inside_at_44k"])
     def test_digital_silence(self, method, order):
         # a direct sum over a window of exact zeros is exactly 0; FFT
-        # rounding noise there would cross zero every few samples
-        sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0))
-        x, gap = sig.samples, np.zeros(int(0.3 * sig.sample_rate_hz))
-        parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x),
-                 "silence_inside": (x, gap, x)}[order]
-        sig = SampledSignal(np.concatenate(parts), sig.sample_rate_hz)
-        cfg = FilterConfig(method)
-        assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
+        # rounding noise there would cross zero every few samples. zfr's
+        # sections ring on into the silence, below that noise, so those
+        # outputs are recomputed: over gaps shorter than its 3057-tap
+        # kernel, and over one run that crosses block edges
+        fs = 44100.0 if order == "silence_inside_at_44k" else 16000.0
+        sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0, sample_rate_hz=fs))
+        x = sig.samples
+        gap = np.zeros({"gap_of_600": 600, "gap_longer_than_block": _BLOCK + 1000}
+                       .get(order, int(0.3 * fs)))
+        parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x)}.get(order,
+                                                                                    (x, gap, x))
+        sig = SampledSignal(np.concatenate(parts), fs)
+        for passes in (1, 2, 3):
+            cfg = FilterConfig(method, detrend_passes=passes)
+            got = _flush_subnormals(run_pipeline(sig, cfg))
+            want = _flush_subnormals(whole_buffer_pipeline(sig, cfg))
+            assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
+            assert_matches_oracle(got, want, method)
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     @pytest.mark.parametrize("order", ["voice_then_silence", "silence_then_voice",
@@ -562,6 +645,21 @@ class TestBlockwiseMatchesWholeBuffer:
         assert np.array_equal(got, old_cascaded_resonator(x, r, pairs))
 
 
+def _flush_subnormals(signal):
+    """signal with its subnormal samples set to 0.
+
+    zfr's ring-out over seconds of digital silence underflows. Subnormal
+    floats keep no relative precision, so there a recursion started a
+    kernel length back rounds differently from one run over the whole
+    input: a third detrend pass then turns their last few subnormals
+    into exact zeros a few samples apart, and the detector counts the
+    step from a negative subnormal to 0 as a crossing.
+    """
+    x = signal.samples
+    flushed = np.where(np.abs(x) < np.finfo(np.float64).tiny, 0.0, x)
+    return SampledSignal(flushed, signal.sample_rate_hz, signal.start_time_s)
+
+
 def assert_matches_old_detrend(got, x, n_half):
     want = old_detrend(x, n_half)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -589,12 +687,13 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("method", ["zfr", "zff"])
     def test_fir_longer_than_block(self, monkeypatch, method, workers):
-        # the 477-tap kernel widens each frame past _FRAME, to twice its
-        # length; 64-sample blocks spread the frames over the workers
+        # the 477- and 3057-tap kernels widen each frame past _FRAME, to
+        # eight times their length; 64-sample blocks spread the frames,
+        # three of them for zfr, over the workers
         _use_workers(monkeypatch, workers)
         monkeypatch.setattr(filters, "_BLOCK", 64)
         monkeypatch.setattr(filters, "_FRAME", 64)
-        sig = SampledSignal(np.random.default_rng(workers).normal(size=1000), 16000.0)
+        sig = SampledSignal(np.random.default_rng(workers).normal(size=50_000), 16000.0)
         cfg = FilterConfig(method, trim_s=0.0)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
@@ -619,6 +718,31 @@ class TestThreadedBlocks:
                 want = full[:length]
                 assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
                 assert np.array_equal(out == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_fft_fir_reports_the_zero_runs(self, monkeypatch, workers):
+        # the runs of outputs whose last taps inputs are all zero, merged
+        # across frames, for a window shorter than the kernel and its own
+        # length; gaps at both ends, across frame edges, and of fewer
+        # than taps samples
+        _use_workers(monkeypatch, workers)
+        monkeypatch.setattr(filters, "_BLOCK", 64)
+        monkeypatch.setattr(filters, "_FRAME", 128)
+        rng = np.random.default_rng(workers)
+        x = rng.normal(size=3000)
+        x[:40] = x[300:330] = x[500:1400] = x[2950:] = 0.0
+        kernel = rng.normal(size=37)
+        for taps in (10, 37):
+            out = np.empty(len(x) + 36)
+            runs = filters._fft_fir(x, kernel, out, taps)
+            padded = np.concatenate((np.zeros(taps - 1), x, np.zeros(36)))
+            quiet = np.convolve(padded != 0, np.ones(taps), mode="valid")[: len(out)] == 0
+            edges = np.flatnonzero(np.diff(quiet, prepend=False, append=False))
+            assert runs == list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+            # the 30-sample gap holds no window of 37 samples
+            assert len(runs) == {10: 4, 37: 3}[taps]
+            want = np.convolve(x, kernel)
+            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # every stage of the lock's 2 s clip runs on the calling thread;
@@ -762,6 +886,23 @@ def test_pipeline_peak_memory_within_two_and_a_half_inputs(method):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * sig.samples.nbytes
+
+
+@pytest.mark.parametrize("workers", [1, filters._MAX_WORKERS])
+def test_zfr_extraction_peak_memory_within_two_inputs_and_two_megabytes(monkeypatch, workers):
+    # zfr's 3057-tap kernel takes 24576-sample frames: each thread holds
+    # one frame's spectrum and output, about 0.4 MB. A mask or a copy of
+    # the whole input on top of the two arrays a stage needs shows here
+    _use_workers(monkeypatch, workers)
+    sig, _ = synth_voice(speaker("A", 60.0, seed=9, noise_snr_db=20.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        extract_epochs(sig, FilterConfig("zfr"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sig.samples.nbytes + 2e6
 
 
 class TestZpzfrSymmetry:
