@@ -103,17 +103,41 @@ class SampledSignal:
         return len(self) / self.sample_rate_hz
 
 
-def validate_signal(signal: SampledSignal) -> SampledSignal:
-    """Check signal invariants and return the signal unchanged.
+def all_finite(samples: np.ndarray) -> bool:
+    """Whether every sample is finite, without building a mask.
 
-    Raises EmptySignal, NonPositiveRate, or NonFinite on violation.
+    A NaN or an infinity makes the sum NaN or infinite, so a finite sum
+    proves every sample finite; only a sum that is not finite, which
+    finite samples reach by overflowing, needs the exact test.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(samples, axis=None)
+    return bool(np.isfinite(total)) or bool(np.isfinite(samples).all())
+
+
+def check_rate_and_length(signal: SampledSignal) -> None:
+    """validate_signal's checks that read no sample: EmptySignal, NonPositiveRate."""
     if len(signal) == 0:
         raise EmptySignal("signal has no samples")
     if not np.isfinite(signal.sample_rate_hz) or signal.sample_rate_hz <= 0.0:
         raise NonPositiveRate(f"sample rate must be positive, got {signal.sample_rate_hz}")
-    if not np.all(np.isfinite(signal.samples)):
+
+
+def check_finite(samples: np.ndarray) -> None:
+    """Raise NonFinite unless every sample is finite."""
+    if not all_finite(samples):
         raise NonFinite("signal contains NaN or infinite samples")
+
+
+def validate_signal(signal: SampledSignal) -> SampledSignal:
+    """Check signal invariants and return the signal unchanged.
+
+    Raises EmptySignal, NonPositiveRate, or NonFinite on violation. The
+    samples are read once, as a sum, and no array of their length is
+    made unless that sum is not finite (see all_finite).
+    """
+    check_rate_and_length(signal)
+    check_finite(signal.samples)
     return signal
 
 

@@ -16,6 +16,11 @@ Three related methods share one recursion, a double pole near 0 Hz:
 Every pipeline optionally first-differences the input (pre-emphasis),
 filters, and trims the edge anomaly; each stage returns a SampledSignal
 whose start_time_s keeps epoch times in original-recording coordinates.
+A pipeline reads its input's samples for finiteness once, at entry
+(validate_signal: one sum, no mask). No stage re-checks the arrays the
+pipeline makes; detrend checks each block of its output, and zfr and
+zff check their output once, so a NaN or inf found there means that a
+filter overflowed, and is reported as that.
 zpzfr resonates, then detrends. zfr and zff share one causal path: a
 detrend window has a double zero at z = 1, so the cascade and the first
 two passes are one FIR and two radius-r sections whose zeros at z = 1
@@ -28,11 +33,16 @@ the input length.
 The filter stages run over blocks of _BLOCK samples into one
 preallocated output. Every SampledSignal array is read-only, and
 np.convolve and lfilter copy a read-only input whole; block by block,
-only one block is copied, so an extraction peaks at about two
+only one block is copied, so a zpzfr extraction peaks at about two
 input-sized arrays. zfr and zff compute their FIR by FFT overlap-save,
-to the tolerance _fft_fir states; their input carries no trend. A frame
-holds _FRAME samples or eight kernel lengths, whichever is more: 8192
-for zff, 24576 for zfr. Over digital silence zfr's folded sections only
+to the tolerance _fft_fir states; their input carries no trend. Each
+frame differences its own slice of the raw input, so no pre-emphasized
+copy is made, and the FIR's output is the one input-sized array a zfr
+or zff extraction adds: it peaks at about 1.25 inputs, with the
+detector's masks. A frame holds _FRAME samples or eight kernel lengths,
+whichever is more: 8192 for zff, 24576 for zfr; zfr's folded kernel is
+built once per window, pass count and radius. Over digital silence
+(zero samples after the pre-emphasis) zfr's folded sections only
 ring out, far below the FFT's rounding noise, so each run of outputs
 whose FIR part sees only zero samples is recomputed by a direct FIR and
 the sections' recursion (_ring_out), and silence adds no false epochs.
@@ -51,6 +61,7 @@ bit-identical at any thread count. An input of one block, such as a
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +83,9 @@ from .core import (
     TooShort,
     TrimTooLarge,
     WindowTooLarge,
+    all_finite,
+    check_finite,
+    check_rate_and_length,
     positive_count,
     validate_signal,
 )
@@ -148,11 +162,15 @@ def differentiate(signal: SampledSignal) -> SampledSignal:
     instant one sample period after the input's start.
     """
     validate_signal(signal)
+    return _differenced(signal)
+
+
+def _differenced(signal: SampledSignal) -> SampledSignal:
+    # differentiate without reading the samples for finiteness first
     if len(signal) < 2:
         raise TooShort("differentiate needs at least 2 samples")
-    out = np.diff(signal.samples)
     return SampledSignal(
-        out,
+        np.diff(signal.samples),
         signal.sample_rate_hz,
         start_time_s=signal.start_time_s + 1.0 / signal.sample_rate_hz,
     )
@@ -228,11 +246,18 @@ def _zero_windows(frame: np.ndarray, m: int, taps: int, count: int):
 
 
 def _fft_fir(
-    x: np.ndarray, kernel: np.ndarray, out: np.ndarray, taps: int | None = None
+    x: np.ndarray,
+    kernel: np.ndarray,
+    out: np.ndarray,
+    taps: int | None = None,
+    difference: bool = False,
 ) -> list[tuple[int, int]]:
-    """out[i] = np.convolve(x, kernel)[i], by FFT overlap-save.
+    """out[i] = np.convolve(u, kernel)[i], by FFT overlap-save.
 
-    Needs len(out) <= len(x) + len(kernel) - 1. Each piece is one frame
+    u is x, or np.diff(x) if difference: each frame then differences its
+    own slice of x, with np.diff's subtraction, so the values are the
+    same and no differenced copy of x is made. Needs
+    len(out) <= len(u) + len(kernel) - 1. Each piece is one frame
     of next_fast_len(max(_FRAME, 8m)) samples for an m-tap kernel, or
     fewer where one frame holds the whole output: a frame's hop is its
     size less m - 1, so a kernel of a few thousand taps needs a frame of
@@ -243,9 +268,10 @@ def _fft_fir(
     up to a frame of samples, so it overflows sooner than a direct sum.
 
     Returns the runs (i, j), in order and with touching runs merged, of
-    the outputs whose last taps (default m) input samples are all zero.
+    the outputs whose last taps (default m) samples of u are all zero.
     """
     m = len(kernel)
+    n = len(x) - difference
     taps = m if taps is None else taps
     size = next_fast_len(min(max(_FRAME, 8 * m), len(out) + m - 1), real=True)
     hop = size - m + 1
@@ -253,15 +279,21 @@ def _fft_fir(
     runs = []
 
     def frame_out(t: int, j: int) -> None:
-        # the frame is x[t - m + 1 : t + hop], zero outside x, and a copy
-        # only there; the last hop samples of its circular convolution
-        # are the linear one's
+        # the frame is u[t - m + 1 : t + hop], zero outside u, and a view
+        # of x where it can be; the last hop samples of its circular
+        # convolution are the linear one's
         lo, hi = t - m + 1, t + hop
-        if 0 <= lo and hi <= len(x):
+        a, b = max(lo, 0), min(hi, n)
+        if difference:
+            frame = np.empty(size) if (a, b) == (lo, hi) else np.zeros(size)
+            # errstate is per thread; an overflow shows as inf in out
+            with np.errstate(over="ignore"):
+                np.subtract(x[a + 1 : b + 1], x[a:b], out=frame[a - lo : b - lo])
+        elif (a, b) == (lo, hi):
             frame = x[lo:hi]
         else:
             frame = np.zeros(size)
-            frame[max(-lo, 0) : min(hi, len(x)) - lo] = x[max(lo, 0) : hi]
+            frame[a - lo : b - lo] = x[a:b]
         # the outputs' last taps samples span frame[m - taps : m - 1 + j - t]
         quiet = None
         if j - t + taps - 1 - np.count_nonzero(frame[m - taps : m - 1 + j - t]) >= taps:
@@ -307,21 +339,19 @@ def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> Sam
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
-def _window_half_width(signal: SampledSignal, window_s: float) -> int:
-    # N for a detrend window of window_s seconds that fits in the signal
+def _window_half_width(n: int, fs: float, window_s: float) -> int:
+    # N for a detrend window of window_s seconds that fits in n samples at fs
     if not window_s > 0.0:
         raise BadConfig(f"window_s must be positive, got {window_s}")
-    n_half = int(round(window_s * signal.sample_rate_hz / 2.0))
+    n_half = int(round(window_s * fs / 2.0))
     if n_half < 1:
         # a one-tap window subtracts every sample from itself
         raise BadConfig(
-            f"detrend window of {window_s} s is under one sample on each side "
-            f"at {signal.sample_rate_hz} Hz"
+            f"detrend window of {window_s} s is under one sample on each side at {fs} Hz"
         )
-    if len(signal) <= 2 * n_half + 1:
+    if n <= 2 * n_half + 1:
         raise WindowTooLarge(
-            f"detrend window of {2 * n_half + 1} samples does not fit in "
-            f"signal of {len(signal)} samples"
+            f"detrend window of {2 * n_half + 1} samples does not fit in signal of {n} samples"
         )
     return n_half
 
@@ -335,10 +365,12 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
     samples, so the result differs from the direct sum's by under 1e-10
     of max|out|, and is exactly 0 where a window holds only zero
     samples. Raises NonFinite if a window sum, or the difference of two
-    samples 2N + 1 apart, overflows float64.
+    samples 2N + 1 apart, overflows float64, and, as validate_signal
+    does, if a sample is NaN or infinite: the check of each block's
+    output finds both, so the input is read for finiteness only then.
     """
-    validate_signal(signal)
-    n_half = _window_half_width(signal, window_s)
+    check_rate_and_length(signal)
+    n_half = _window_half_width(len(signal), signal.sample_rate_hz, window_s)
     x = signal.samples
     n = len(x)
     width = 2 * n_half + 1
@@ -360,38 +392,49 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
         sums = out[i:j]
         rows = -(-(j - i) // width)
         full = sums[: (j - i) // width * width].reshape(-1, width)
-        # errstate is per thread; an overflow shows as inf or NaN below
+        # errstate is per thread; an overflow, or a NaN or inf in x,
+        # shows as inf or NaN in the check below
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(b[width:], b[:-width], out=sums)
             sums[::width] = b[1 : 1 + rows * width].reshape(rows, width).sum(axis=1)
             np.cumsum(full, axis=1, out=full)
             np.cumsum(sums[full.size :], out=sums[full.size :])
-        nonzero = b != 0
-        if min(n, stop) - max(start, 0) - np.count_nonzero(nonzero) > n_half:
-            # a direct sum over zero samples is exactly 0, where the
-            # running sum leaves rounding noise; a window holds at least
-            # N + 1 samples of x
-            counts = np.concatenate(([0], np.cumsum(nonzero)))
-            sums[counts[1 + width :] == counts[1 : 1 + j - i]] = 0.0
-        # the window covers 2N + 1 samples except within N of either end
-        lo = min(max(i, n_half), j)
-        hi = max(min(j, n - n_half), lo)
-        out[i:lo] /= np.arange(i, lo) + (n_half + 1)
-        out[lo:hi] /= width
-        out[hi:j] /= (n + n_half) - np.arange(hi, j)
-        np.subtract(x[i:j], out[i:j], out=out[i:j])
-        # checked while the block is in cache; the input was finite
-        if not np.isfinite(out[i:j]).all():
+            nonzero = b != 0
+            if min(n, stop) - max(start, 0) - np.count_nonzero(nonzero) > n_half:
+                # a direct sum over zero samples is exactly 0, where the
+                # running sum leaves rounding noise; a window holds at
+                # least N + 1 samples of x
+                counts = np.concatenate(([0], np.cumsum(nonzero)))
+                sums[counts[1 + width :] == counts[1 : 1 + j - i]] = 0.0
+            # the window covers 2N + 1 samples except within N of either end
+            lo = min(max(i, n_half), j)
+            hi = max(min(j, n - n_half), lo)
+            out[i:lo] /= np.arange(i, lo) + (n_half + 1)
+            out[lo:hi] /= width
+            out[hi:j] /= (n + n_half) - np.arange(hi, j)
+            np.subtract(x[i:j], out[i:j], out=out[i:j])
+        # checked while the block is in cache; every sample of x is in
+        # some block's windows, so a NaN or inf in x shows here too
+        if not all_finite(out[i:j]):
             raise NonFinite("detrend overflowed; scale the input down")
 
-    # blocks of whole rows keep every row where a one-block run has it
-    _run_blocks(n, width * max(1, _BLOCK // width), mean_removed)
+    try:
+        # blocks of whole rows keep every row where a one-block run has it
+        _run_blocks(n, width * max(1, _BLOCK // width), mean_removed)
+    except NonFinite:
+        check_finite(x)
+        raise
     return SampledSignal(out, signal.sample_rate_hz, signal.start_time_s)
 
 
 def trim_ends(signal: SampledSignal, trim_s: float) -> SampledSignal:
     """Drop trim_s seconds from each end, keeping the time offset."""
     validate_signal(signal)
+    return _trimmed(signal, trim_s)
+
+
+def _trimmed(signal: SampledSignal, trim_s: float) -> SampledSignal:
+    # trim_ends without reading the samples for finiteness first
     if trim_s < 0.0:
         raise BadConfig(f"trim_s must be >= 0, got {trim_s}")
     if not signal.duration_s > 2.0 * trim_s:
@@ -441,17 +484,21 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
 
 @contextmanager
 def _pipeline_input(signal: SampledSignal, config: FilterConfig, method: str):
-    """Check config.method and the input; yield it, pre-emphasized if set.
+    """Check config.method and the input, once, and yield the input.
 
-    Every stage validates its input, so a later non-finite sample means
-    a filter overflowed float64, and is reported as that.
+    This is the pipeline's one check of the input's samples; no stage
+    checks the arrays the pipeline makes from them. So a NonFinite from
+    any stage, or from the pipeline's check of its output, means that a
+    filter overflowed float64, and is reported as that.
     """
     if config.method != method:
         raise BadMethod(f"config.method is {config.method!r}, expected {method!r}")
     validate_signal(signal)
+    if config.preemphasis and len(signal) < 2:
+        raise TooShort("differentiate needs at least 2 samples")
     try:
         with np.errstate(over="ignore"):
-            yield differentiate(signal) if config.preemphasis else signal
+            yield signal
     except NonFinite:
         raise NonFinite(f"the {method} filter overflowed; scale the input down") from None
 
@@ -473,7 +520,7 @@ def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
     return np.pad(kernel, (0, max(0, passes * n_half + 1 - len(kernel))))
 
 
-def _section_response(b: list[float], r: float) -> np.ndarray | None:
+def _section_response(b: tuple[float, ...], r: float) -> np.ndarray | None:
     """Impulse response of the section b / (1 - r z^-1)^2, cut to an FIR.
 
     The response is b convolved with (n+1) r^n. It is cut after its last
@@ -487,10 +534,14 @@ def _section_response(b: list[float], r: float) -> np.ndarray | None:
     return response[: last + 1].copy() if last + 1 < _FOLD_TAPS else None
 
 
-def _ring_out(x: np.ndarray, fir: np.ndarray, sections, y: np.ndarray, runs, reach: int):
-    """Recompute y over runs whose FIR part saw only zero samples of x.
+def _ring_out(
+    x: np.ndarray, fir: np.ndarray, sections, y: np.ndarray, runs, reach: int, difference: bool
+):
+    """Recompute y over runs whose FIR part saw only zero samples of u.
 
-    There y is x convolved with fir, then filtered by the sections: only
+    u is x, or np.diff(x) if difference, as in _fft_fir; each head
+    differences only its own slice of x. There y is u convolved with
+    fir, then filtered by the sections: only
     their ring-out, which decays far below the FFT's rounding noise.
     Each run is recomputed whole, in order, as a direct sum of the FIR
     and the sections from zero state reach outputs before it; cut into
@@ -504,10 +555,40 @@ def _ring_out(x: np.ndarray, fir: np.ndarray, sections, y: np.ndarray, runs, rea
             continue
         lo = max(s - reach, 0)
         a = max(lo - len(fir) + 1, 0)
-        head = np.convolve(x[a:s], fir)[lo - a : s - a]
+        u = x[a : s + difference]
+        head = np.convolve(np.diff(u) if difference else u, fir)[lo - a : s - a]
         states = _lfilter_blocks(sections, head, head)
         y[s:e] = 0.0
         _lfilter_blocks(sections, y[s:e], y[s:e], zi=states)
+
+
+@functools.lru_cache(maxsize=16)
+def _causal_filter(n_half: int, m: int, r: float):
+    """(fir, kernel, taps, folded, recursive) of _causal_pipeline.
+
+    fir is q^m; kernel is fir convolved with the folded sections'
+    responses; taps counts the FIR part, fir and the folded sections'
+    numerators; folded and recursive list the sections (b, a) folded in
+    and left to run recursively. Cached, with read-only arrays: a short
+    input would otherwise spend more time on zfr's kernel than on its
+    filtering.
+    """
+    fir = _zff_kernel(n_half, m)
+    d2, a = (1.0, -2.0, 1.0), tuple(_resonator_sos(r))
+    kernel, taps, folded, recursive = fir, len(fir), [], []
+    for b in (d2, d2 if m == 2 else (1.0,)):
+        if b == a:
+            continue
+        response = _section_response(b, r)
+        if response is None:
+            recursive.append((b, a))
+        else:
+            folded.append((b, a))
+            kernel = np.convolve(kernel, response)
+            taps += len(b) - 1
+    fir.flags.writeable = False
+    kernel.flags.writeable = False
+    return fir, kernel, taps, tuple(folded), tuple(recursive)
 
 
 def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -> SampledSignal:
@@ -523,44 +604,37 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
     r = 0.97. A section that does not decay (zff's double integrator at
     one pass) runs recursively after the FIR. Output sample i is sample
     i + m*N of that run. The FIR runs by FFT overlap-save, which its
-    input, carrying no trend, allows. Over digital silence a folded
-    section only rings out, below the FFT's rounding noise, so outputs
-    whose FIR part (q^m and the folded sections' numerators) sees only
-    zero samples are recomputed directly (see _ring_out). Further passes
-    run as detrend: folded into the FIR they cost precision. Samples
-    within passes*N of either end (before the trim) see a zero-extended
-    input where detrend truncates its window; they survive only when
-    round(trim_s * fs) < passes*N: trim_s = 0, three or more passes, or
-    11.025 kHz by default.
+    input, carrying no trend, allows; pre-emphasis runs inside its
+    frames. Over digital silence a folded section only rings out, below
+    the FFT's rounding noise, so outputs whose FIR part (q^m and the
+    folded sections' numerators) sees only zero samples of the
+    pre-emphasized input are recomputed directly (see _ring_out).
+    Further passes run as detrend: folded into the FIR they cost
+    precision. The output is checked for finiteness once, before the
+    trim. Samples within passes*N of either end (before the trim) see a
+    zero-extended input where detrend truncates its window; they
+    survive only when round(trim_s * fs) < passes*N: trim_s = 0, three
+    or more passes, or 11.025 kHz by default.
     """
-    with _pipeline_input(signal, config, method) as out:
+    with _pipeline_input(signal, config, method):
+        x, fs, pre = signal.samples, signal.sample_rate_hz, config.preemphasis
         m = min(config.detrend_passes, 2)
-        n_half = _window_half_width(out, config.detrend_window_s)
-        fir = _zff_kernel(n_half, m)
-        d2, a = [1.0, -2.0, 1.0], _resonator_sos(config.r)
-        kernel, taps, folded, recursive = fir, len(fir), [], []
-        for b in (d2, d2 if m == 2 else [1.0]):
-            if b == a:
-                continue
-            response = _section_response(b, config.r)
-            if response is None:
-                recursive.append((b, a))
-            else:
-                folded.append((b, a))
-                kernel = np.convolve(kernel, response)
-                taps += len(b) - 1
+        n_half = _window_half_width(len(x) - pre, fs, config.detrend_window_s)
+        fir, kernel, taps, folded, recursive = _causal_filter(n_half, m, config.r)
         # recursive sections need the leading m*N samples for their state
-        y = np.empty(m * n_half + len(out))
-        runs = _fft_fir(out.samples, kernel, y, taps)
+        y = np.empty(m * n_half + len(x) - pre)
+        runs = _fft_fir(x, kernel, y, taps, pre)
         if folded:
-            _ring_out(out.samples, fir, folded, y, runs, len(kernel))
+            _ring_out(x, fir, folded, y, runs, len(kernel), pre)
         if recursive:
             _lfilter_blocks(recursive, y, y)
+        start = signal.start_time_s + 1.0 / fs if pre else signal.start_time_s
         # rebinding out frees each stage's array once the next has its output
-        out = SampledSignal(y[m * n_half :], out.sample_rate_hz, out.start_time_s)
+        out = SampledSignal(y[m * n_half :], fs, start)
         for _ in range(config.detrend_passes - 2):
             out = detrend(out, config.detrend_window_s)
-        return trim_ends(out, config.trim_s)
+        check_finite(out.samples)
+        return _trimmed(out, config.trim_s)
 
 
 def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
@@ -581,12 +655,15 @@ def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal
     instant, and a first-difference stage would skew that symmetry.
     """
     with _pipeline_input(signal, config, "zpzfr") as out:
+        if config.preemphasis:
+            out = _differenced(out)
         out = SampledSignal(
             _zero_phase_double_pole(out.samples, config.r), out.sample_rate_hz, out.start_time_s
         )
         for _ in range(config.detrend_passes):
             out = detrend(out, config.detrend_window_s)
-        return trim_ends(out, config.trim_s)
+        # detrend checked each block of its output
+        return _trimmed(out, config.trim_s)
 
 
 _PIPELINES = {

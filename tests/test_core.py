@@ -1,9 +1,12 @@
 """Data types, invariants, and configuration validation."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zfepoch import (
     BadConfig,
@@ -23,6 +26,19 @@ from zfepoch import (
     env_overrides,
     evaluate,
     validate_signal,
+)
+from zfepoch.core import all_finite
+
+# Samples for the finiteness property: sums of ±1.7e308 overflow to
+# ±inf or reach inf - inf = NaN from finite samples alone; subnormals,
+# NaN and ±inf mixed in anywhere
+SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from([1.7e308, -1.7e308, 1e308, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    ),
+    max_size=300,
 )
 
 
@@ -66,6 +82,27 @@ class TestValidateSignal:
     def test_empty_rejected(self):
         with pytest.raises(EmptySignal):
             validate_signal(SampledSignal([], 16000.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(SAMPLES)
+    @example([1.7e308] * 4)
+    @example([1.7e308, 1.7e308, -1.7e308, -1.7e308, float("nan")])
+    @example([1.7e308] * 200 + [-1.7e308] * 200)
+    @example([5e-324] * 9 + [float("-inf")])
+    def test_check_equals_isfinite(self, values):
+        # a finite sum proves every sample finite; a sum that overflows
+        # from finite samples must fall back to the exact test, and no
+        # overflow or invalid warning may escape
+        x = np.array(values, dtype=np.float64)
+        want = bool(np.isfinite(x).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(x) is want
+            if len(x) and not want:
+                with pytest.raises(NonFinite, match="^signal contains NaN or infinite samples$"):
+                    validate_signal(SampledSignal(x, 16000.0))
+            elif len(x):
+                validate_signal(SampledSignal(x, 16000.0))
 
 
 class TestEpochSequence:

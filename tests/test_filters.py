@@ -56,7 +56,7 @@ from filter_oracle import (
     old_zfr_pipeline,
     whole_buffer_pipeline,
 )
-from zfepoch import filters
+from zfepoch import core, filters
 from zfepoch.filters import _BLOCK, _FRAME, _zff_kernel
 
 
@@ -358,6 +358,25 @@ class TestZfrBehavior:
         assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
         assert_matches_oracle(got, want, "zfr")
 
+    def test_repeat_extraction_reuses_the_kernel(self, monkeypatch):
+        # the folded kernel depends on (N, m, r) alone: a 2 s lock clip
+        # would otherwise spend as long building it as filtering
+        filters._causal_filter.cache_clear()
+        real = filters._section_response
+        calls = []
+        monkeypatch.setattr(filters, "_section_response",
+                            lambda b, r: calls.append(r) or real(b, r))
+        sig, _ = synth_voice(speaker("A", 2.0, seed=5, noise_snr_db=20.0))
+        first = extract_epochs(sig, FilterConfig("zfr"))
+        assert len(calls) == 2
+        again = extract_epochs(sig, FilterConfig("zfr"))
+        assert len(calls) == 2
+        assert np.array_equal(first.times_s, again.times_s)
+        extract_epochs(sig, FilterConfig("zfr", detrend_window_s=0.01))
+        assert len(calls) == 4
+        fir, kernel = filters._causal_filter(120, 2, 0.97)[:2]
+        assert len(kernel) == 3057 and not fir.flags.writeable and not kernel.flags.writeable
+
     @pytest.mark.parametrize("source", ["noise", "A", "B"])
     @pytest.mark.parametrize("passes", [1, 2, 3])
     @pytest.mark.parametrize("fs", [8000.0, 11025.0, 16000.0, 44100.0])
@@ -382,6 +401,66 @@ class TestZfrBehavior:
             t_want = detect_positive_zero_crossings(want).times_s
             assert len(t_got) == len(t_want) > 0
             assert np.max(np.abs(t_got - t_want)) <= 1e-9
+
+
+class TestValidateOnce:
+    """An extraction reads its input for finiteness once, at entry.
+
+    No stage checks the arrays the pipeline makes: the causal pipelines
+    check their output once, and detrend checks each block of its
+    output. A public stage called on its own still rejects a NaN or an
+    infinity, wherever it sits.
+    """
+
+    N = 5 * _BLOCK + 123
+
+    @pytest.mark.parametrize("method,passes,most", [
+        ("zfr", 1, 3), ("zfr", 2, 3), ("zfr", 3, 3), ("zff", 1, 3), ("zff", 2, 3),
+        ("zff", 3, 3), ("zpzfr", 2, 2),
+    ])
+    def test_full_length_finiteness_passes(self, monkeypatch, method, passes, most):
+        # a pass reads at least half the input; detrend's block checks
+        # read a block at a time, in cache, and do not count. A finite
+        # input never needs a whole-array isfinite mask
+        sig = SampledSignal(np.random.default_rng(4).normal(size=self.N), 16000.0)
+        real_check, real_isfinite = core.all_finite, np.isfinite
+        checks, masks = [], []
+
+        def check(samples):
+            checks.append(len(samples))
+            return real_check(samples)
+
+        def isfinite(x, *args, **kwargs):
+            masks.append(np.size(x))
+            return real_isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(core, "all_finite", check)
+        monkeypatch.setattr(filters, "all_finite", check)
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        extract_epochs(sig, FilterConfig(method, detrend_passes=passes))
+        assert 1 <= sum(n >= self.N // 2 for n in checks) <= most
+        assert max(masks) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first_block", "middle_block", "last_block"])
+    def test_non_finite_input_is_reported_as_input(self, bad, where):
+        x = np.random.default_rng(5).normal(size=self.N)
+        x[{"first_block": 7, "middle_block": self.N // 2, "last_block": self.N - 1}[where]] = bad
+        sig = SampledSignal(x, 16000.0)
+        calls = {
+            "detrend": lambda: detrend(sig, 0.015),
+            "differentiate": lambda: differentiate(sig),
+            "trim_ends": lambda: trim_ends(sig, 0.015),
+            "crossings": lambda: detect_positive_zero_crossings(sig),
+            "negative_peaks": lambda: detect_negative_peaks(sig),
+        }
+        for method in ("zfr", "zff", "zpzfr"):
+            calls[method] = lambda method=method: run_pipeline(sig, FilterConfig(method))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, call in calls.items():
+                with pytest.raises(NonFinite, match="^signal contains NaN or infinite samples$"):
+                    call()
 
 
 class TestInputRange:
@@ -546,6 +625,16 @@ def assert_matches_oracle(got, want, method):
     assert np.all(np.abs(t_got - t_want) <= 1e-9)
 
 
+# (input, method) of test_digital_silence. A constant is a run of zeros
+# only to the pre-emphasized methods; zpzfr filters the constant itself
+SILENCE_CASES = [
+    (order, method)
+    for order in ["voice_then_silence", "silence_then_voice", "silence_inside", "gap_of_600",
+                  "gap_longer_than_block", "silence_inside_at_44k"]
+    for method in ["zfr", "zff", "zpzfr"]
+] + [("constant_inside", "zfr"), ("constant_inside", "zff")]
+
+
 class TestBlockwiseMatchesWholeBuffer:
     """The block-wise stages against the whole-buffer oracle.
 
@@ -587,21 +676,22 @@ class TestBlockwiseMatchesWholeBuffer:
         cfg = FilterConfig(method, trim_s=0.0)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
-    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
-    @pytest.mark.parametrize("order", ["voice_then_silence", "silence_then_voice",
-                                       "silence_inside", "gap_of_600",
-                                       "gap_longer_than_block", "silence_inside_at_44k"])
+    @pytest.mark.parametrize("order,method", SILENCE_CASES)
     def test_digital_silence(self, method, order):
         # a direct sum over a window of exact zeros is exactly 0; FFT
         # rounding noise there would cross zero every few samples. zfr's
         # sections ring on into the silence, below that noise, so those
         # outputs are recomputed: over gaps shorter than its 3057-tap
-        # kernel, and over one run that crosses block edges
+        # kernel, and over one run that crosses block edges. Pre-emphasis
+        # runs inside the FFT frames, so a constant, differenced there,
+        # is a run of zeros too
         fs = 44100.0 if order == "silence_inside_at_44k" else 16000.0
         sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0, sample_rate_hz=fs))
         x = sig.samples
         gap = np.zeros({"gap_of_600": 600, "gap_longer_than_block": _BLOCK + 1000}
                        .get(order, int(0.3 * fs)))
+        if order == "constant_inside":
+            gap = np.full(int(fs), 0.25)
         parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x)}.get(order,
                                                                                     (x, gap, x))
         sig = SampledSignal(np.concatenate(parts), fs)
@@ -889,20 +979,24 @@ def test_pipeline_peak_memory_within_two_and_a_half_inputs(method):
 
 
 @pytest.mark.parametrize("workers", [1, filters._MAX_WORKERS])
-def test_zfr_extraction_peak_memory_within_two_inputs_and_two_megabytes(monkeypatch, workers):
-    # zfr's 3057-tap kernel takes 24576-sample frames: each thread holds
-    # one frame's spectrum and output, about 0.4 MB. A mask or a copy of
-    # the whole input on top of the two arrays a stage needs shows here
+@pytest.mark.parametrize("method", ["zfr", "zff"])
+def test_causal_extraction_peak_memory_within_one_and_a_half_inputs_and_two_megabytes(
+        monkeypatch, method, workers):
+    # the FIR's output is the one input-sized array an extraction adds
+    # (1.25 inputs with the detector's masks). zfr's 3057-tap kernel
+    # takes 24576-sample frames: each thread holds a frame's spectrum and
+    # its frame or output, about 0.4 MB. A differenced copy of the input
+    # or a finiteness mask of a whole array shows here
     _use_workers(monkeypatch, workers)
     sig, _ = synth_voice(speaker("A", 60.0, seed=9, noise_snr_db=20.0))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        extract_epochs(sig, FilterConfig("zfr"))
+        extract_epochs(sig, FilterConfig(method))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * sig.samples.nbytes + 2e6
+    assert peak <= 1.5 * sig.samples.nbytes + 2e6
 
 
 class TestZpzfrSymmetry:
