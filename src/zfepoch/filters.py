@@ -49,14 +49,27 @@ the sections' recursion (_ring_out), and silence adds no false epochs.
 detrend's input may carry a large trend, so its window sums are running
 sums restarted from a direct sum every window width: O(1) work per
 sample, rounding that grows over one window at most, and a result
-within 1e-10 of max|out| of the direct sum's. The detrend blocks and
-the FIR frames are independent, and numpy and scipy.fft release the
+within 1e-10 of max|out| of the direct sum's. zpzfr's two radius-r
+passes are serial recursions; each runs in pieces of _BLOCK samples or
+eight ring-out lengths K, whichever is more (K = 1654 at r = 0.97), and
+a piece starts from zero state K samples outside its outputs, where
+the state it misses has decayed below _TAIL_EPS. Where those K samples
+are exact zeros, it starts K samples beyond the nearest nonzero sample
+instead, so a silence keeps the whole buffer's ring and exact zeros
+(see _zero_phase_double_pole); an input of one piece runs the whole-
+buffer recursion. The detrend blocks, the FIR frames and the resonator
+pieces are independent, and numpy, scipy.fft and lfilter release the
 GIL, so _run_blocks spreads them over up to min(usable CPUs, 4)
-threads: the caller and a pool that lives only for that call. Every
-piece does the same arithmetic on any thread, so the output is
-bit-identical at any thread count. An input of one block, such as a
-2 s lock clip, starts no thread; each extra thread adds up to about
-0.4 MB to the peak, a zfr frame's spectrum and output.
+threads: the caller and a pool that lives only for that call. Each
+thread takes the next piece as it finishes one, so a thread whose CPU
+is busy with other work holds up no stage. The FFTs and the recursions
+gain from the threads; numpy's elementwise passes are memory-bound and
+gain little. On one CPU the resonator's pieces cost about what the
+whole-buffer recursion does. Every piece does the same arithmetic on
+any thread, so the output is bit-identical at any thread count. An
+input of one block or one piece, such as a 2 s lock clip, starts no
+thread; each extra thread adds up to about 0.4 MB to the peak, a zfr
+frame's spectrum and output.
 """
 
 from __future__ import annotations
@@ -92,11 +105,17 @@ from .core import (
 
 _TAIL_EPS = 1e-15
 
-# samples per block in the filter stages; any size gives the same output.
-# A stage runs on one thread per block of output, up to _MAX_WORKERS, so
-# a 2 s clip at 16 kHz, one block, starts no thread. A detrend block
-# sums into its part of the output, and copies its input only next to
-# the signal's ends, zero-padded.
+# a double-pole ring falls by _TAIL_EPS over each ring-out length
+# (_ringout_length); over this many, a ring from any finite float64
+# state falls below 1e309 * 1e-660, far below the smallest normal number
+_UNDERFLOW_RINGOUTS = 44
+
+# samples per block in the filter stages; any size gives the same output,
+# except that zpzfr's resonator pieces, and so the rounding of their
+# warm-ups, are at least this long. A stage runs on one thread per block
+# of output, up to _MAX_WORKERS, so a 2 s clip at 16 kHz, one block,
+# starts no thread. A detrend block sums into its part of the output,
+# and copies its input only next to the signal's ends, zero-padded.
 _BLOCK = 1 << 15
 
 # samples per overlap-save frame of the FFT convolution; frames of 4096
@@ -181,16 +200,13 @@ def _resonator_sos(r: float) -> list[float]:
     return [1.0, -2.0 * r, r * r]
 
 
-def _lfilter_blocks(sections, x: np.ndarray, out: np.ndarray, zi=None, reverse: bool = False):
+def _lfilter_blocks(sections, x: np.ndarray, out: np.ndarray, zi=None):
     """The second-order lfilter(b, a) sections in cascade over x into out.
 
     Block by block, every section runs on a block while it is in cache.
     zi lists initial states (zero if None); the final ones are returned.
-    reverse runs from the last sample to the first, as lfilter over
-    x[::-1] would. out may be x.
+    out may be x.
     """
-    if reverse:
-        x, out = x[::-1], out[::-1]
     states = [np.zeros(2) for _ in sections] if zi is None else list(zi)
     for i in range(0, len(x), _BLOCK):
         y = x[i : i + _BLOCK]
@@ -213,16 +229,27 @@ def _worker_count(blocks: int) -> int:
 def _run_blocks(n: int, size: int, block) -> None:
     """block(i, j) over range(n) cut every size samples.
 
-    Worker k of w = _worker_count(ceil(n / _BLOCK)) takes every w-th
-    piece from piece k; the pieces do not depend on w. The caller is
-    worker 0; the others run on a pool that this call opens and joins,
-    so none outlives it, and an exception in any piece is raised here.
+    Worker k of w = _worker_count(ceil(n / max(size, _BLOCK))) runs
+    piece k, then takes the next piece that no worker has taken, so a
+    worker whose CPU is busy with other work runs fewer pieces and the
+    stage does not wait for it. The pieces do not depend on w or on
+    the worker that runs them. The caller is worker 0; the others run
+    on a pool that this call opens and joins, so none outlives it, and
+    an exception in any piece is raised here.
     """
-    w = _worker_count(-(-n // _BLOCK))
+    w = _worker_count(-(-n // max(size, _BLOCK)))
+    # the starts of the pieces after the first w, last first; list.pop
+    # is atomic under the GIL, so no two workers take the same piece
+    rest = list(range(w * size, n, size))[::-1]
 
     def work(k: int) -> None:
-        for i in range(k * size, n, w * size):
+        i = k * size
+        while i < n:
             block(i, min(i + size, n))
+            try:
+                i = rest.pop()
+            except IndexError:
+                return
 
     if w == 1:
         return work(0)
@@ -463,6 +490,73 @@ def _ringout_length(r: float) -> int:
     return k
 
 
+def _warm_up(u: np.ndarray, i: int, k: int, reach: int) -> tuple[int, int]:
+    """(start, stop): where a recursion over u that outputs from i >= k starts.
+
+    It starts from zero state at start and runs over u[start:stop] and
+    the zeros u[stop:i]: k samples before i, or, where those are all
+    exact zeros, k samples before the last nonzero sample, so that it
+    does not start inside a silence and put exact zeros over the ring of
+    the samples before. Only reach samples are searched: with none of
+    them nonzero, any ring from before has underflowed, and it starts
+    at i.
+    """
+    lo = i - k
+    if u[lo:i].any():
+        return lo, i
+    for b in range(lo, max(i - reach, 0), -k):
+        a = max(b - k, i - reach, 0)
+        nonzero = np.flatnonzero(u[a:b])
+        if len(nonzero):
+            p = a + int(nonzero[-1])
+            return max(p - k, 0), p + 1
+    return i, i
+
+
+def _section_pieces(r: float, u: np.ndarray, out: np.ndarray, zi: np.ndarray, k: int):
+    """The section 1 / (1 - r z^-1)^2 over u into out from state zi, in pieces.
+
+    Pieces of max(_BLOCK, 8k) samples run through _run_blocks. The first
+    starts from zi; each later one from a recursion from zero state
+    where _warm_up says, so the state it misses, zi's ring included, has
+    decayed below _TAIL_EPS of its size by its first output, for k =
+    _ringout_length(r). The pieces depend only on len(u) and k, so the
+    output is the same at any thread count; an input of one piece is
+    one lfilter call from zi, the arithmetic of a whole-buffer
+    recursion. The warm-up states are found before any piece writes, so
+    out may be u. Returns the final state.
+    """
+    n = len(u)
+    size = max(_BLOCK, 8 * k)
+    section = ([1.0], _resonator_sos(r))
+    states = {0: zi}
+    if n > size:
+        # the section's impulse response (n + 1) r^n, last tap first: from
+        # zero state, a warm-up's last two outputs are dot products with
+        # it, which cost less than an lfilter call's Python overhead
+        reversed_response = ((np.arange(k + 1) + 1.0) * r ** np.arange(k + 1))[::-1]
+        for i in range(size, n, size):
+            start, stop = _warm_up(u, i, k, _UNDERFLOW_RINGOUTS * k)
+            head = u[start:stop]
+            last = head @ reversed_response[k + 1 - len(head) :]
+            before = head[:-1] @ reversed_response[k + 2 - len(head) :]
+            # lfilter's state after the outputs before and last
+            state = np.array([2.0 * r * last - r * r * before, -r * r * last])
+            if stop < i and state.any():
+                _, state = lfilter(*section, np.zeros(i - stop), zi=state)
+            states[i] = state
+    final = [zi]
+
+    def piece(i: int, j: int) -> None:
+        y, state = lfilter(*section, u[i:j], zi=states[i])
+        out[i:j] = y
+        if j == n:
+            final[0] = state
+
+    _run_blocks(n, size, piece)
+    return final[0]
+
+
 def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     """One double-pole section forward and backward, tail-extended.
 
@@ -472,13 +566,26 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     zero-phase symmetry tolerance. The ring-out only supplies the
     backward pass's state at the buffer end; that pass then runs in
     place over the forward output.
+
+    Each pass runs in pieces of max(_BLOCK, 8K) samples, K =
+    _ringout_length(r) (1654 at r = 0.97), spread over threads by
+    _section_pieces: a forward piece starts from zero state K samples
+    before its first output, a backward piece K samples after its last,
+    over the forward output as it was before the in-place pass. Where
+    those K samples are exact zeros, the start moves to K samples beyond
+    the nearest nonzero sample, so a silence keeps the whole buffer's
+    ring and its exact zeros. The output is within 1e-12 of the
+    whole-buffer recursion's peak and the same at any thread count; an
+    input of one piece, such as a 2 s lock clip, gets the whole-buffer
+    recursion's arithmetic and starts no thread.
     """
     section = ([1.0], _resonator_sos(r))
+    k = _ringout_length(r)
     y = np.empty(len(x))
-    (state,) = _lfilter_blocks([section], x, y)
-    ring, _ = lfilter(*section, np.zeros(_ringout_length(r)), zi=state)
+    state = _section_pieces(r, x, y, np.zeros(2), k)
+    ring, _ = lfilter(*section, np.zeros(k), zi=state)
     _, state = lfilter(*section, ring[::-1], zi=np.zeros(2))
-    _lfilter_blocks([section], y, y, zi=[state], reverse=True)
+    _section_pieces(r, y[::-1], y[::-1], state, k)
     return y
 
 

@@ -1,5 +1,7 @@
 """Epoch detectors, EGG references, and detection scoring."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from zfepoch import (
     synth_voice,
 )
 from match_oracle import quadratic_greedy_match
+from zfepoch import epochs as zf_epochs
 
 EVAL_TOLERANCE_S = 0.00025
 
@@ -69,6 +72,38 @@ class TestPositiveZeroCrossings:
             SampledSignal([-1.0, 1.0], 1000.0, start_time_s=0.25)
         )
         assert out.times_s[0] == pytest.approx(0.2505)
+
+
+# signed zeros, subnormals and values either side of them
+CROSSING_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(CROSSING_VALUES, DENSE), min_size=1, max_size=40))
+def test_crossings_match_the_two_comparison_form(values):
+    # one mask, neg[k] > neg[k + 1], finds the same k as the form it
+    # replaced; -0.0 is not negative, so a step from a negative value
+    # to either zero counts
+    y = np.array(values, dtype=float)
+    out = detect_positive_zero_crossings(SampledSignal(y, 1000.0))
+    k = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
+    want = (k - y[k] / (y[k + 1] - y[k])) / 1000.0
+    assert np.array_equal(out.times_s, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(CROSSING_VALUES, DENSE), min_size=1, max_size=40),
+       block=st.integers(min_value=1, max_value=8))
+def test_negative_peaks_match_the_whole_output_comparisons(values, block):
+    # minima found block by block, at the blocks' edges too, are the
+    # three comparisons' over the whole output
+    y = np.array(values, dtype=float)
+    with mock.patch.object(zf_epochs, "_BLOCK", block):
+        out = detect_negative_peaks(SampledSignal(y, 1000.0))
+    mid = y[1:-1]
+    k = np.nonzero((mid < y[:-2]) & (mid < y[2:]) & (mid < 0.0))[0] + 1
+    shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / (y[k - 1] - 2.0 * y[k] + y[k + 1]), -0.5, 0.5)
+    assert np.array_equal(out.times_s, (k + shift) / 1000.0)
 
 
 class TestNegativePeaks:

@@ -52,6 +52,7 @@ from filter_oracle import (
     extended_precision_pipeline,
     old_cascaded_resonator,
     old_detrend,
+    old_zero_phase_double_pole,
     old_zff_pipeline,
     old_zfr_pipeline,
     whole_buffer_pipeline,
@@ -346,10 +347,10 @@ class TestZfrBehavior:
         real = filters._lfilter_blocks
         whole = []
 
-        def counted(sections, x, out, zi=None, reverse=False):
+        def counted(sections, x, out, zi=None):
             if len(x) == output:
                 whole.extend(sections)
-            return real(sections, x, out, zi, reverse)
+            return real(sections, x, out, zi)
 
         monkeypatch.setattr(filters, "_lfilter_blocks", counted)
         got = run_pipeline(sig, cfg)
@@ -626,22 +627,27 @@ def assert_matches_oracle(got, want, method):
 
 
 # (input, method) of test_digital_silence. A constant is a run of zeros
-# only to the pre-emphasized methods; zpzfr filters the constant itself
+# only to the pre-emphasized methods; zpzfr filters the constant itself.
+# Only zpzfr's resonator pieces search a silence for its last sample
 SILENCE_CASES = [
     (order, method)
     for order in ["voice_then_silence", "silence_then_voice", "silence_inside", "gap_of_600",
-                  "gap_longer_than_block", "silence_inside_at_44k"]
+                  "gap_longer_than_block", "silence_inside_at_44k", "voice_then_long_silence",
+                  "long_silence_then_voice"]
     for method in ["zfr", "zff", "zpzfr"]
-] + [("constant_inside", "zfr"), ("constant_inside", "zff")]
+] + [("constant_inside", "zfr"), ("constant_inside", "zff"),
+     ("voice_then_silence_past_reach", "zpzfr"), ("silence_past_reach_then_voice", "zpzfr")]
 
 
 class TestBlockwiseMatchesWholeBuffer:
     """The block-wise stages against the whole-buffer oracle.
 
-    The resonator blocks carry their state, so they do the whole
+    cascaded_resonator's blocks carry their state, so they do the whole
     buffer's arithmetic and must match exactly at the block-edge
-    lengths. detrend and the three pipelines match to the tolerance of
-    assert_matches_oracle.
+    lengths; so must zpzfr's resonator on an input of one piece. Its
+    pieces of a longer input start from zero state a ring-out length
+    outside their outputs, and match to 1e-12 of the peak. detrend and
+    the three pipelines match to the tolerance of assert_matches_oracle.
     """
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
@@ -684,16 +690,26 @@ class TestBlockwiseMatchesWholeBuffer:
         # outputs are recomputed: over gaps shorter than its 3057-tap
         # kernel, and over one run that crosses block edges. Pre-emphasis
         # runs inside the FFT frames, so a constant, differenced there,
-        # is a run of zeros too
+        # is a run of zeros too. zpzfr's passes run in pieces of _BLOCK
+        # samples; a long silence at either end puts a piece's edge deep
+        # inside it, with no other voice's ring to mask a piece that
+        # started there from zero state. Past 44 ring-out lengths of
+        # silence (72776 samples) a piece starts there anyway: any ring
+        # has underflowed
         fs = 44100.0 if order == "silence_inside_at_44k" else 16000.0
         sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0, sample_rate_hz=fs))
         x = sig.samples
-        gap = np.zeros({"gap_of_600": 600, "gap_longer_than_block": _BLOCK + 1000}
-                       .get(order, int(0.3 * fs)))
+        gap = np.zeros({"gap_of_600": 600, "gap_longer_than_block": _BLOCK + 1000,
+                        "voice_then_long_silence": _BLOCK + 2000,
+                        "long_silence_then_voice": _BLOCK + 2000,
+                        "voice_then_silence_past_reach": 7 * 16000,
+                        "silence_past_reach_then_voice": 7 * 16000}.get(order, int(0.3 * fs)))
         if order == "constant_inside":
             gap = np.full(int(fs), 0.25)
-        parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x)}.get(order,
-                                                                                    (x, gap, x))
+        parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x),
+                 "voice_then_long_silence": (x, gap), "long_silence_then_voice": (gap, x),
+                 "voice_then_silence_past_reach": (x, gap),
+                 "silence_past_reach_then_voice": (gap, x)}.get(order, (x, gap, x))
         sig = SampledSignal(np.concatenate(parts), fs)
         for passes in (1, 2, 3):
             cfg = FilterConfig(method, detrend_passes=passes)
@@ -733,6 +749,26 @@ class TestBlockwiseMatchesWholeBuffer:
         x = np.random.default_rng(n).normal(size=n)
         got = cascaded_resonator(SampledSignal(x, 16000.0), r, pairs).samples
         assert np.array_equal(got, old_cascaded_resonator(x, r, pairs))
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK])
+    def test_zero_phase_resonator_of_one_piece(self, n):
+        # one recursion each way, as over the whole buffer
+        x = np.random.default_rng(n).normal(size=n)
+        got = filters._zero_phase_double_pole(x, 0.97)
+        assert np.array_equal(got, old_zero_phase_double_pole(x, 0.97))
+
+    @pytest.mark.parametrize("r", [0.9, 0.97, 0.99])
+    def test_zero_phase_resonator_in_pieces(self, monkeypatch, r):
+        # six pieces of _BLOCK samples, the last of 477; five of
+        # 8 * 4970 at r = 0.99
+        x = np.random.default_rng(7).normal(size=5 * _BLOCK + 477)
+        want = old_zero_phase_double_pole(x, r)
+        got = []
+        for workers in (1, 2, 4):
+            _use_workers(monkeypatch, workers)
+            got.append(filters._zero_phase_double_pole(x, r))
+        assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
 
 def _flush_subnormals(signal):
@@ -853,6 +889,18 @@ class TestThreadedBlocks:
         assert threading.active_count() == before
         assert starts == []
 
+    def test_one_piece_of_two_blocks_starts_no_thread(self, monkeypatch):
+        # at r = 0.99 a resonator piece is eight ring-out lengths, 39760
+        # samples: an input of two blocks is still one piece
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread.name) or start(thread))
+        x = np.random.default_rng(3).normal(size=_BLOCK + 5000)
+        got = filters._zero_phase_double_pole(x, 0.99)
+        assert starts == []
+        assert np.array_equal(got, old_zero_phase_double_pole(x, 0.99))
+
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         _use_workers(monkeypatch, 2)
 
@@ -862,6 +910,37 @@ class TestThreadedBlocks:
 
         with pytest.raises(ZeroDivisionError, match="^zfepoch"):
             filters._run_blocks(2 * _BLOCK, _BLOCK, block)
+
+    def test_every_piece_runs_once(self, monkeypatch):
+        # workers take the pieces as they finish theirs; four workers on
+        # fewer cores, switching every microsecond, lose and repeat none
+        _use_workers(monkeypatch, 4)
+        monkeypatch.setattr(filters, "_BLOCK", 64)
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                filters._run_blocks(500 * 64 + 7, 64, lambda i, j: ran.append((i, j)))
+                assert sorted(ran) == [(i, min(i + 64, 500 * 64 + 7))
+                                       for i in range(0, 500 * 64 + 7, 64)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_slow_worker_runs_fewer_pieces(self, monkeypatch):
+        # as on a CPU busy with other work: the caller does not wait for
+        # a helper's share of the pieces, it runs them itself
+        _use_workers(monkeypatch, 2)
+        helper = []
+
+        def block(i, j):
+            if threading.current_thread() is not threading.main_thread():
+                helper.append(i)
+                time.sleep(0.05)
+
+        filters._run_blocks(20 * _BLOCK, _BLOCK, block)
+        assert helper[:1] == [_BLOCK] and len(helper) <= 3
 
     def test_caller_exception_waits_for_the_helpers(self, monkeypatch):
         # no helper may still write to an output once _run_blocks returns
