@@ -7,8 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadConfig, EpochSequence, FilterConfig, SampledSignal, TooShort, validate_signal
-from .filters import _BLOCK, differentiate, run_pipeline
+from .core import (
+    BadConfig,
+    EpochSequence,
+    FilterConfig,
+    SampledSignal,
+    TooShort,
+    check_finite,
+    check_rate_and_length,
+    validate_signal,
+)
+from .filters import _BLOCK, _run_blocks, differentiate, run_pipeline
 
 DEFAULT_EGG_PROMINENCE = 0.05
 
@@ -33,20 +42,45 @@ class EvalReport:
     tolerance_s: float
 
 
+def _epochs_by_block(filtered: SampledSignal, n: int, find) -> EpochSequence:
+    """The epochs that find(i, j) returns for range(n), block by block.
+
+    Blocks of _BLOCK run through _run_blocks and the times are joined in
+    order. find reads the samples its block needs, which it first checks
+    for finiteness while they are in cache, in place of a separate pass
+    over the whole output. Every time is computed from its own few
+    samples, so the result does not depend on the blocks or the workers.
+    """
+    found = {}
+
+    def block(i: int, j: int) -> None:
+        found[i] = find(i, j)
+
+    _run_blocks(n, _BLOCK, block)
+    times = np.concatenate([found[i] for i in sorted(found)])
+    return EpochSequence(times, filtered.sample_rate_hz)
+
+
 def detect_positive_zero_crossings(filtered: SampledSignal) -> EpochSequence:
     """Times where the signal crosses from negative to >= 0.
 
     Each crossing between samples k and k+1 is placed by linear
     interpolation; a zero sample after a negative one counts.
     """
-    validate_signal(filtered)
-    y = filtered.samples
-    # with NaN rejected, "not negative" is y >= 0: one mask, not two
-    neg = y < 0.0
-    k = np.flatnonzero(neg[:-1] > neg[1:])
-    frac = -y[k] / (y[k + 1] - y[k])
-    times = filtered.start_time_s + (k + frac) / filtered.sample_rate_hz
-    return EpochSequence(times, filtered.sample_rate_hz)
+    check_rate_and_length(filtered)
+    y, n = filtered.samples, len(filtered)
+
+    def crossings(i: int, j: int) -> np.ndarray:
+        # crossings from k in [i, j) to k + 1, the last one's into the next block
+        seg = y[i : j + 1]
+        check_finite(seg)
+        # with NaN rejected, "not negative" is y >= 0: one mask, not two
+        neg = seg < 0.0
+        k = np.flatnonzero(neg[:-1] > neg[1:]) + i
+        frac = -y[k] / (y[k + 1] - y[k])
+        return filtered.start_time_s + (k + frac) / filtered.sample_rate_hz
+
+    return _epochs_by_block(filtered, n, crossings)
 
 
 def detect_negative_peaks(filtered: SampledSignal) -> EpochSequence:
@@ -56,24 +90,23 @@ def detect_negative_peaks(filtered: SampledSignal) -> EpochSequence:
     surrounding samples; the refinement never moves a peak by more than
     half a sample.
     """
-    validate_signal(filtered)
-    y = filtered.samples
-    if len(y) < 3:
+    check_rate_and_length(filtered)
+    y, n = filtered.samples, len(filtered)
+    if n < 3:
+        check_finite(y)
         return EpochSequence(np.empty(0), filtered.sample_rate_hz)
-    # the three comparisons run over blocks that stay in cache; over the
-    # whole output they take twice as long
-    minima = []
-    for i in range(1, len(y) - 1, _BLOCK):
-        j = min(i + _BLOCK, len(y) - 1)
-        mid = y[i:j]
-        minima.append(
-            np.flatnonzero((mid < y[i - 1 : j - 1]) & (mid < y[i + 1 : j + 1]) & (mid < 0.0)) + i
-        )
-    k = np.concatenate(minima)
-    curvature = y[k - 1] - 2.0 * y[k] + y[k + 1]
-    shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / curvature, -0.5, 0.5)
-    times = filtered.start_time_s + (k + shift) / filtered.sample_rate_hz
-    return EpochSequence(times, filtered.sample_rate_hz)
+
+    def minima(i: int, j: int) -> np.ndarray:
+        # minima at k in [i + 1, j + 1), each against its two neighbours;
+        # the three comparisons run over a block that stays in cache
+        check_finite(y[i : j + 2])
+        mid = y[i + 1 : j + 1]
+        k = np.flatnonzero((mid < y[i:j]) & (mid < y[i + 2 : j + 2]) & (mid < 0.0)) + (i + 1)
+        curvature = y[k - 1] - 2.0 * y[k] + y[k + 1]
+        shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / curvature, -0.5, 0.5)
+        return filtered.start_time_s + (k + shift) / filtered.sample_rate_hz
+
+    return _epochs_by_block(filtered, n - 2, minima)
 
 
 def extract_epochs(

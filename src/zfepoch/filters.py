@@ -38,14 +38,15 @@ input-sized arrays. zfr and zff compute their FIR by FFT overlap-save,
 to the tolerance _fft_fir states; their input carries no trend. Each
 frame differences its own slice of the raw input, so no pre-emphasized
 copy is made, and the FIR's output is the one input-sized array a zfr
-or zff extraction adds: it peaks at about 1.25 inputs, with the
-detector's masks. A frame holds _FRAME samples or eight kernel lengths,
-whichever is more: 8192 for zff, 24576 for zfr; zfr's folded kernel is
-built once per window, pass count and radius. Over digital silence
-(zero samples after the pre-emphasis) zfr's folded sections only
-ring out, far below the FFT's rounding noise, so each run of outputs
-whose FIR part sees only zero samples is recomputed by a direct FIR and
-the sections' recursion (_ring_out), and silence adds no false epochs.
+or zff extraction adds: with the detector's masks a block long, it
+peaks at about 1.1 inputs. A frame holds _FRAME samples or eight kernel
+lengths, whichever is more: 32768 for both zff and zfr (eight of zfr's
+3057 taps are 24456); zfr's folded kernel is built once per window,
+pass count and radius. Over digital silence (zero samples after the
+pre-emphasis) zfr's folded sections only ring out, far below the FFT's
+rounding noise, so each run of outputs whose FIR part sees only zero
+samples is recomputed by a direct FIR and the sections' recursion
+(_ring_out), and silence adds no false epochs.
 detrend's input may carry a large trend, so its window sums are running
 sums restarted from a direct sum every window width: O(1) work per
 sample, rounding that grows over one window at most, and a result
@@ -57,19 +58,23 @@ the state it misses has decayed below _TAIL_EPS. Where those K samples
 are exact zeros, it starts K samples beyond the nearest nonzero sample
 instead, so a silence keeps the whole buffer's ring and exact zeros
 (see _zero_phase_double_pole); an input of one piece runs the whole-
-buffer recursion. The detrend blocks, the FIR frames and the resonator
-pieces are independent, and numpy, scipy.fft and lfilter release the
-GIL, so _run_blocks spreads them over up to min(usable CPUs, 4)
-threads: the caller and a pool that lives only for that call. Each
-thread takes the next piece as it finishes one, so a thread whose CPU
-is busy with other work holds up no stage. The FFTs and the recursions
-gain from the threads; numpy's elementwise passes are memory-bound and
-gain little. On one CPU the resonator's pieces cost about what the
-whole-buffer recursion does. Every piece does the same arithmetic on
-any thread, so the output is bit-identical at any thread count. An
-input of one block or one piece, such as a 2 s lock clip, starts no
-thread; each extra thread adds up to about 0.4 MB to the peak, a zfr
-frame's spectrum and output.
+buffer recursion. The detrend blocks, the FIR frames, the resonator
+pieces and the detectors' blocks (see epochs) are independent, and
+numpy, scipy.fft and lfilter release the GIL, so _run_blocks spreads
+them over up to min(usable CPUs, 4) threads: the caller and a pool that
+lives only for that call. Each thread takes the next piece as it
+finishes one, so a thread whose CPU is busy with other work holds up no
+stage. Each numpy or scipy call takes the GIL back when it ends, so the
+pieces are made long enough that the threads run side by side: with
+32768-sample blocks, detrend ran 0.8-1.1 times as fast on two threads as
+on one; with 131072-sample blocks, 1.45-1.8 times (see README). On one
+CPU the resonator's pieces cost about what the whole-buffer recursion
+does. Every piece does the same arithmetic on any thread, so the output
+is bit-identical at any thread count. An input of one block or one
+piece, up to 8 s at 16 kHz and so every 2 s lock clip, starts no
+thread. Each extra thread adds about 0.5 MB to a zfr or zff peak, a
+frame's spectrum and output, and up to about 1 MB to a zpzfr peak, a
+resonator piece's output.
 """
 
 from __future__ import annotations
@@ -110,18 +115,23 @@ _TAIL_EPS = 1e-15
 # state falls below 1e309 * 1e-660, far below the smallest normal number
 _UNDERFLOW_RINGOUTS = 44
 
-# samples per block in the filter stages; any size gives the same output,
-# except that zpzfr's resonator pieces, and so the rounding of their
-# warm-ups, are at least this long. A stage runs on one thread per block
-# of output, up to _MAX_WORKERS, so a 2 s clip at 16 kHz, one block,
-# starts no thread. A detrend block sums into its part of the output,
-# and copies its input only next to the signal's ends, zero-padded.
-_BLOCK = 1 << 15
+# samples per block in the filter stages and the detectors; any size
+# gives the same output, except that zpzfr's resonator pieces, and so the
+# rounding of their warm-ups, are at least this long. A stage runs on one
+# thread per block of output, up to _MAX_WORKERS, so an input of up to
+# 8 s at 16 kHz, one block, starts no thread. A detrend block sums into
+# its part of the output, and copies its input only next to the signal's
+# ends, zero-padded. At 300 s on a 2-vCPU machine, two threads ran
+# detrend in 31 ms against 45 on one with blocks of 2^17 or 2^18
+# samples, but gained little or lost time with 2^15; 2^17 keeps 8 s in
+# one block.
+_BLOCK = 1 << 17
 
-# samples per overlap-save frame of the FFT convolution; frames of 4096
-# to 16384 samples run within 5% of each other, and each thread holds
-# about three frames
-_FRAME = 8192
+# samples per overlap-save frame of the FFT convolution. At 300 s on one
+# thread, frames of 2^13 to 2^16 samples ran within 8% of each other and
+# 2^17 about 25% slower; on two threads, 2^15 and 2^16 ran fastest. Each
+# thread holds about two frames, a spectrum and an output
+_FRAME = 1 << 15
 
 # most threads one filter stage runs on, the caller included
 _MAX_WORKERS = 4

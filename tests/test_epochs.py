@@ -1,5 +1,8 @@
 """Epoch detectors, EGG references, and detection scoring."""
 
+import itertools
+import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -11,8 +14,10 @@ from zfepoch import (
     BadConfig,
     EpochSequence,
     FilterConfig,
+    NonFinite,
     SampledSignal,
     TooShort,
+    ZfepochError,
     deltas,
     detect_negative_peaks,
     detect_positive_zero_crossings,
@@ -22,9 +27,12 @@ from zfepoch import (
     greedy_nearest_match,
     speaker,
     synth_voice,
+    validate_signal,
 )
 from match_oracle import quadratic_greedy_match
+from zfepoch import core
 from zfepoch import epochs as zf_epochs
+from zfepoch import filters as zf_filters
 
 EVAL_TOLERANCE_S = 0.00025
 
@@ -147,6 +155,107 @@ def test_crossings_scale_invariance(scale):
     scaled = detect_positive_zero_crossings(SampledSignal(scale * y, 1000.0)).times_s
     assert len(base) == len(scaled)
     assert np.allclose(base, scaled, rtol=0.0, atol=1e-12)
+
+
+def whole_array_crossings(filtered):
+    """The crossings detector over the whole output, after validate_signal."""
+    validate_signal(filtered)
+    y = filtered.samples
+    k = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
+    return filtered.start_time_s + (k - y[k] / (y[k + 1] - y[k])) / filtered.sample_rate_hz
+
+
+def whole_array_negative_peaks(filtered):
+    """The negative-peak detector over the whole output, after validate_signal."""
+    validate_signal(filtered)
+    y = filtered.samples
+    if len(y) < 3:
+        return np.empty(0)
+    mid = y[1:-1]
+    k = np.nonzero((mid < y[:-2]) & (mid < y[2:]) & (mid < 0.0))[0] + 1
+    shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / (y[k - 1] - 2.0 * y[k] + y[k + 1]), -0.5, 0.5)
+    return filtered.start_time_s + (k + shift) / filtered.sample_rate_hz
+
+
+DETECTORS = [(detect_positive_zero_crossings, whole_array_crossings),
+             (detect_negative_peaks, whole_array_negative_peaks)]
+
+
+def _small_blocks(monkeypatch, block, workers):
+    # blocks of block samples in both modules: filters' size sets the
+    # worker count, epochs' the detector's blocks
+    monkeypatch.setattr(zf_filters, "_BLOCK", block)
+    monkeypatch.setattr(zf_epochs, "_BLOCK", block)
+    monkeypatch.setattr(zf_filters, "_worker_count", lambda blocks: min(workers, blocks))
+
+
+class TestPooledDetectors:
+    """The detectors run their blocks on the filters' pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("detect,whole", DETECTORS)
+    def test_many_blocks_match_the_whole_array(self, monkeypatch, detect, whole, workers):
+        # 64-sample blocks over 50 of them. The crossings from sample 63
+        # to 64 and from 127 to 128, onto an exact zero, straddle a block
+        # edge; the minima at 127, 193, 256 and 320 are the first or last
+        # sample of a block, whether blocks count from sample 0 or 1
+        y = np.random.default_rng(workers).normal(size=64 * 50 + 13)
+        y[62:66] = [-1.0, -0.5, 0.5, 1.0]
+        y[126:130] = [-1.0, -0.5, 0.0, 1.0]
+        crossings = [63.5, 128.0]
+        minima = [127, 193, 256, 320]
+        if detect is detect_negative_peaks:
+            for c in minima:
+                y[c - 1 : c + 2] = [0.5, -2.0, 0.5]
+        sig = SampledSignal(y, 1000.0, start_time_s=0.25)
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread.name) or start(thread))
+        _small_blocks(monkeypatch, 64, workers)
+        got = detect(sig).times_s
+        want = whole(sig)
+        assert np.array_equal(got, want)
+        placed = crossings if detect is detect_positive_zero_crossings else minima
+        assert np.isin(0.25 + np.array(placed, dtype=float) / 1000.0, want).all()
+        assert bool(starts) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("detect", [detect for detect, _ in DETECTORS])
+    def test_non_finite_in_the_last_block(self, monkeypatch, detect, bad, workers):
+        y = np.random.default_rng(3).normal(size=64 * 10 + 5)
+        y[-1] = bad
+        _small_blocks(monkeypatch, 64, workers)
+        with pytest.raises(NonFinite, match="^signal contains NaN or infinite samples$"):
+            detect(SampledSignal(y, 1000.0))
+
+    @pytest.mark.parametrize("detect", [detect for detect, _ in DETECTORS])
+    def test_detectors_check_only_blocks(self, monkeypatch, detect):
+        # each block checks the samples it reads while they are in cache;
+        # no check reads the whole output
+        _small_blocks(monkeypatch, 64, 2)
+        lengths, real = [], core.all_finite
+        monkeypatch.setattr(core, "all_finite", lambda y: lengths.append(len(y)) or real(y))
+        detect(SampledSignal(np.random.default_rng(8).normal(size=64 * 10 + 5), 1000.0))
+        assert len(lengths) == 11 and max(lengths) <= 64 + 2
+
+    @pytest.mark.parametrize("detect,whole", DETECTORS)
+    def test_inputs_of_up_to_three_samples(self, detect, whole):
+        # every sequence of up to three values from the pool, and a rate
+        # of 0: the same times, or the same error and message
+        pool = [-1.0, 0.0, 1.0, np.nan, np.inf]
+        for n in range(4):
+            for values in itertools.product(pool, repeat=n):
+                for rate in (1000.0, 0.0):
+                    sig = SampledSignal(np.array(values, dtype=float), rate)
+                    try:
+                        want = whole(sig)
+                    except ZfepochError as err:
+                        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                            detect(sig)
+                    else:
+                        assert np.array_equal(detect(sig).times_s, want)
 
 
 @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])

@@ -5,6 +5,7 @@ and of 1/(1-rz^-1)^4 is C(n+3,3)r^n (binomial series); the detrend and
 trim examples are evaluated by hand.
 """
 
+import functools
 import math
 import os
 import signal
@@ -58,6 +59,7 @@ from filter_oracle import (
     whole_buffer_pipeline,
 )
 from zfepoch import core, filters
+from zfepoch import epochs as zf_epochs
 from zfepoch.filters import _BLOCK, _FRAME, _zff_kernel
 
 
@@ -420,8 +422,9 @@ class TestValidateOnce:
         ("zff", 3, 3), ("zpzfr", 2, 2),
     ])
     def test_full_length_finiteness_passes(self, monkeypatch, method, passes, most):
-        # a pass reads at least half the input; detrend's block checks
-        # read a block at a time, in cache, and do not count. A finite
+        # a pass reads at least half the input; detrend's and the
+        # detectors' block checks read a block at a time, in cache, and
+        # do not count (see test_detectors_check_only_blocks). A finite
         # input never needs a whole-array isfinite mask
         sig = SampledSignal(np.random.default_rng(4).normal(size=self.N), 16000.0)
         real_check, real_isfinite = core.all_finite, np.isfinite
@@ -586,24 +589,31 @@ def test_output_independent_of_input_length(method):
 
 # the zff kernel has 477 taps at two passes of 15 ms at 16 kHz, and the
 # detrend window 241: 400 samples fit the window but not the kernel;
-# the other lengths sit on the edges of one, two and four blocks
+# the other lengths sit on the edges of one, two and four blocks, and of
+# one, two and four FFT frames of _FRAME samples, all within one block
 _KERNEL = len(_zff_kernel(120, 2))
-BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1,
-                 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
-                 4 * _BLOCK + _KERNEL, 400]
+BLOCK_LENGTHS = [k * size + d for size in (_FRAME, _BLOCK) for k, d in
+                 [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (4, _KERNEL)]] + [400]
 
 
 # FIR output lengths on either side of one and four frame hops of that
 # kernel, of one hop into the second block, and of one and two hops of
-# zfr's kernel, which folds in two radius-0.97 sections of 1291 taps
-def _hop(kernel):
-    return next_fast_len(max(_FRAME, 8 * kernel), real=True) - kernel + 1
+# zfr's kernel, which folds in two radius-0.97 sections of 1291 taps.
+# Each length is on an edge for frames of _FRAME samples and blocks of
+# _BLOCK, or for frames and blocks a quarter that size, at which it runs
+def _hop(kernel, frame):
+    return next_fast_len(max(frame, 8 * kernel), real=True) - kernel + 1
 
 
-_HOP = _hop(_KERNEL)
-_ZFR_HOP = _hop(_KERNEL + 2 * (len(filters._section_response([1.0, -2.0, 1.0], 0.97)) - 1))
-FRAME_LENGTHS = [k + d for k in (_HOP, 4 * _HOP, _BLOCK + _HOP, _ZFR_HOP, 2 * _ZFR_HOP)
-                 for d in (-1, 0, 1)]
+_ZFR_KERNEL = _KERNEL + 2 * (len(filters._section_response([1.0, -2.0, 1.0], 0.97)) - 1)
+FRAME_LENGTHS = [
+    pytest.param((k + d, frame), id=str(k + d))
+    for frame in (_FRAME // 4, _FRAME)
+    for k in (_hop(_KERNEL, frame), 4 * _hop(_KERNEL, frame),
+              frame * _BLOCK // _FRAME + _hop(_KERNEL, frame),
+              _hop(_ZFR_KERNEL, frame), 2 * _hop(_ZFR_KERNEL, frame))
+    for d in (-1, 0, 1)
+]
 
 
 def _epochs(filtered, method):
@@ -675,15 +685,18 @@ class TestBlockwiseMatchesWholeBuffer:
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
     @pytest.mark.parametrize("method", ["zfr", "zff"])
-    @pytest.mark.parametrize("fir", FRAME_LENGTHS)
-    def test_frame_edge_lengths(self, method, fir):
+    @pytest.mark.parametrize("fir_frame", FRAME_LENGTHS)
+    def test_frame_edge_lengths(self, monkeypatch, method, fir_frame):
         # the FIR's output holds the pre-emphasized input and 2N = 240 more
+        fir, frame = fir_frame
+        monkeypatch.setattr(filters, "_FRAME", frame)
+        monkeypatch.setattr(filters, "_BLOCK", frame * _BLOCK // _FRAME)
         sig = SampledSignal(np.random.default_rng(fir).normal(size=fir - 239), 16000.0)
         cfg = FilterConfig(method, trim_s=0.0)
         assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
     @pytest.mark.parametrize("order,method", SILENCE_CASES)
-    def test_digital_silence(self, method, order):
+    def test_digital_silence(self, monkeypatch, method, order):
         # a direct sum over a window of exact zeros is exactly 0; FFT
         # rounding noise there would cross zero every few samples. zfr's
         # sections ring on into the silence, below that noise, so those
@@ -695,13 +708,16 @@ class TestBlockwiseMatchesWholeBuffer:
         # inside it, with no other voice's ring to mask a piece that
         # started there from zero state. Past 44 ring-out lengths of
         # silence (72776 samples) a piece starts there anyway: any ring
-        # has underflowed
+        # has underflowed. Blocks of 32768 samples put piece edges both
+        # within that reach of the 1 s voice and past it
+        block = 1 << 15
+        monkeypatch.setattr(filters, "_BLOCK", block)
         fs = 44100.0 if order == "silence_inside_at_44k" else 16000.0
         sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0, sample_rate_hz=fs))
         x = sig.samples
-        gap = np.zeros({"gap_of_600": 600, "gap_longer_than_block": _BLOCK + 1000,
-                        "voice_then_long_silence": _BLOCK + 2000,
-                        "long_silence_then_voice": _BLOCK + 2000,
+        gap = np.zeros({"gap_of_600": 600, "gap_longer_than_block": block + 1000,
+                        "voice_then_long_silence": block + 2000,
+                        "long_silence_then_voice": block + 2000,
                         "voice_then_silence_past_reach": 7 * 16000,
                         "silence_past_reach_then_voice": 7 * 16000}.get(order, int(0.3 * fs)))
         if order == "constant_inside":
@@ -750,17 +766,18 @@ class TestBlockwiseMatchesWholeBuffer:
         got = cascaded_resonator(SampledSignal(x, 16000.0), r, pairs).samples
         assert np.array_equal(got, old_cascaded_resonator(x, r, pairs))
 
-    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK])
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK // 4 - 1, _BLOCK // 4, _BLOCK - 1, _BLOCK])
     def test_zero_phase_resonator_of_one_piece(self, n):
-        # one recursion each way, as over the whole buffer
+        # one recursion each way, as over the whole buffer, at lengths up
+        # to one piece
         x = np.random.default_rng(n).normal(size=n)
         got = filters._zero_phase_double_pole(x, 0.97)
         assert np.array_equal(got, old_zero_phase_double_pole(x, 0.97))
 
     @pytest.mark.parametrize("r", [0.9, 0.97, 0.99])
     def test_zero_phase_resonator_in_pieces(self, monkeypatch, r):
-        # six pieces of _BLOCK samples, the last of 477; five of
-        # 8 * 4970 at r = 0.99
+        # six pieces of _BLOCK samples, the last of 477, at each r: eight
+        # ring-out lengths are at most 39760 samples, at r = 0.99
         x = np.random.default_rng(7).normal(size=5 * _BLOCK + 477)
         want = old_zero_phase_double_pole(x, r)
         got = []
@@ -886,20 +903,52 @@ class TestThreadedBlocks:
         before = threading.active_count()
         for method in ("zfr", "zff", "zpzfr"):
             run_pipeline(sig, FilterConfig(method))
+            # and the detector on its output, both detectors across the methods
+            assert len(extract_epochs(sig, FilterConfig(method))) > 0
         assert threading.active_count() == before
         assert starts == []
 
+    @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
+    def test_helpers_call_no_wrapped_name(self, monkeypatch, method):
+        # a traced benchmark run wraps these names in spans kept for one
+        # thread; a span opened on a helper would close out of order.
+        # Three passes run detrend in every method
+        _use_workers(monkeypatch, 2)
+        callers = []
+
+        def recorded(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                callers.append(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [(filters, "validate_signal"), (zf_epochs, "validate_signal"),
+                            (filters, "detrend"), (core.SampledSignal, "__post_init__"),
+                            (core.EpochSequence, "__post_init__")]:
+            monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread.name) or start(thread))
+        sig = SampledSignal(np.random.default_rng(6).normal(size=3 * _BLOCK), 16000.0)
+        for passes in (2, 3):
+            extract_epochs(sig, FilterConfig(method, detrend_passes=passes))
+        assert starts and callers
+        assert set(callers) == {threading.current_thread()}
+
     def test_one_piece_of_two_blocks_starts_no_thread(self, monkeypatch):
-        # at r = 0.99 a resonator piece is eight ring-out lengths, 39760
+        # at r = 0.998 a resonator piece is eight ring-out lengths, 198920
         # samples: an input of two blocks is still one piece
+        assert 8 * filters._ringout_length(0.998) > _BLOCK + 5000
         starts = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: starts.append(thread.name) or start(thread))
         x = np.random.default_rng(3).normal(size=_BLOCK + 5000)
-        got = filters._zero_phase_double_pole(x, 0.99)
+        got = filters._zero_phase_double_pole(x, 0.998)
         assert starts == []
-        assert np.array_equal(got, old_zero_phase_double_pole(x, 0.99))
+        assert np.array_equal(got, old_zero_phase_double_pole(x, 0.998))
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         _use_workers(monkeypatch, 2)
@@ -1060,9 +1109,9 @@ def test_pipeline_peak_memory_within_two_and_a_half_inputs(method):
 def _assert_extraction_peak_within_one_and_a_half_inputs_and_two_megabytes(
         monkeypatch, method, workers):
     # the FIR's output is the one input-sized array an extraction adds
-    # (1.25 inputs with the detector's masks). zfr's 3057-tap kernel
-    # takes 24576-sample frames: each thread holds a frame's spectrum and
-    # its frame or output, about 0.4 MB. A differenced copy of the input
+    # (1.1 inputs with the detector's block-long masks). Both kernels
+    # take 32768-sample frames: each thread holds a frame's spectrum and
+    # its frame or output, about 0.5 MB. A differenced copy of the input
     # or a finiteness mask of a whole array shows here
     _use_workers(monkeypatch, workers)
     sig, _ = synth_voice(speaker("A", 60.0, seed=9, noise_snr_db=20.0))
