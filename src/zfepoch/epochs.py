@@ -42,14 +42,20 @@ class EvalReport:
     tolerance_s: float
 
 
-def _epochs_by_block(filtered: SampledSignal, n: int, find) -> EpochSequence:
-    """The epochs that find(i, j) returns for range(n), block by block.
+# The filters leave rounding noise, about 1e-16 to 1e-12 of the peak,
+# where exact arithmetic gives 0: over digital silence, or over a
+# constant that pre-emphasis differences away. That noise crosses zero
+# every few samples. So both detectors read every sample within _BAND
+# of the output's largest magnitude as 0, and look for epochs only
+# outside that band; voiced outputs keep no sample in it.
+_BAND = 1e-10
 
-    Blocks of _BLOCK run through _run_blocks and the times are joined in
-    order. find reads the samples its block needs, which it first checks
-    for finiteness while they are in cache, in place of a separate pass
-    over the whole output. Every time is computed from its own few
-    samples, so the result does not depend on the blocks or the workers.
+
+def _by_block(n: int, find) -> list:
+    """find(i, j) for each block of _BLOCK samples of range(n), in order.
+
+    The blocks run through _run_blocks. Each result depends only on its
+    own block, so the list does not depend on the workers.
     """
     found = {}
 
@@ -57,56 +63,101 @@ def _epochs_by_block(filtered: SampledSignal, n: int, find) -> EpochSequence:
         found[i] = find(i, j)
 
     _run_blocks(n, _BLOCK, block)
-    times = np.concatenate([found[i] for i in sorted(found)])
-    return EpochSequence(times, filtered.sample_rate_hz)
+    return [found[i] for i in sorted(found)]
+
+
+def _band(y: np.ndarray) -> float:
+    """_BAND times max(y.max(), -y.min()), read block by block.
+
+    Each block's extremes also prove it finite, while it is in cache:
+    NaN propagates through both, and an infinity shows in one.
+    """
+
+    def extremes(i: int, j: int) -> float:
+        seg = y[i:j]
+        top = np.array((seg.max(), -seg.min()))
+        check_finite(top)
+        return top.max()
+
+    return _BAND * max(_by_block(len(y), extremes))
+
+
+def _next_outside(y: np.ndarray, i: int, band: float) -> int:
+    """The first index from i of a sample outside the band, or len(y)."""
+    for a in range(i, len(y), _BLOCK):
+        seg = y[a : a + _BLOCK]
+        outside = (seg > band) | (seg < -band)
+        if outside.any():
+            return a + int(outside.argmax())
+    return len(y)
 
 
 def detect_positive_zero_crossings(filtered: SampledSignal) -> EpochSequence:
-    """Times where the signal crosses from negative to >= 0.
+    """Times where the signal passes from below the band to above it.
 
-    Each crossing between samples k and k+1 is placed by linear
-    interpolation; a zero sample after a negative one counts.
+    The band is +-1e-10 of the output's largest magnitude (see _BAND),
+    and samples within it are read as 0. Each passage from a sample
+    below -band to the next sample outside the band, above +band, is one
+    epoch. When the two samples are adjacent, the epoch is placed by
+    linear interpolation between them, the zero crossing; otherwise it
+    is the first sample above the band. Without samples within the band,
+    that is every crossing from y < 0 to y >= 0, interpolated.
     """
     check_rate_and_length(filtered)
     y, n = filtered.samples, len(filtered)
+    band = _band(y)
 
-    def crossings(i: int, j: int) -> np.ndarray:
-        # crossings from k in [i, j) to k + 1, the last one's into the next block
+    def exits(i: int, j: int):
+        # each k in [i, j) below the band whose successor is not, and the
+        # next sample after k outside the band: k + 1, unless rounding
+        # noise follows k; -1 if none lies in [k + 1, j]
         seg = y[i : j + 1]
-        check_finite(seg)
-        # with NaN rejected, "not negative" is y >= 0: one mask, not two
-        neg = seg < 0.0
-        k = np.flatnonzero(neg[:-1] > neg[1:]) + i
-        frac = -y[k] / (y[k + 1] - y[k])
-        return filtered.start_time_s + (k + frac) / filtered.sample_rate_hz
+        below = seg < -band
+        k = np.flatnonzero(below[:-1] > below[1:])
+        p = k + 1
+        noise = np.flatnonzero(seg[p] <= band)
+        if len(noise):
+            outside = np.flatnonzero(below | (seg > band))
+            p[noise] = np.append(outside, -1 - i)[np.searchsorted(outside, p[noise])]
+        return k + i, p + i
 
-    return _epochs_by_block(filtered, n, crossings)
+    k, p = (np.concatenate(parts) for parts in zip(*_by_block(n, exits)))
+    # only a block's last exit can run into the blocks after it
+    for t in np.flatnonzero(p < 0):
+        p[t] = _next_outside(y, k[t] + 1, band)
+    passage = p < n
+    passage[passage] = y[p[passage]] > band
+    k, p = k[passage], p[passage]
+    at = np.where(p == k + 1, k - y[k] / (y[p] - y[k]), p)
+    return EpochSequence(filtered.start_time_s + at / filtered.sample_rate_hz,
+                         filtered.sample_rate_hz)
 
 
 def detect_negative_peaks(filtered: SampledSignal) -> EpochSequence:
-    """Times of strict local minima with negative value.
+    """Times of strict local minima below the band.
 
-    The minimum is refined by fitting a parabola through the three
-    surrounding samples; the refinement never moves a peak by more than
-    half a sample.
+    The band is +-1e-10 of the output's largest magnitude (see _BAND),
+    so a minimum at rounding-noise level is no epoch. The minimum is
+    refined by fitting a parabola through the three surrounding samples;
+    the refinement never moves a peak by more than half a sample.
     """
     check_rate_and_length(filtered)
     y, n = filtered.samples, len(filtered)
     if n < 3:
         check_finite(y)
         return EpochSequence(np.empty(0), filtered.sample_rate_hz)
+    band = _band(y)
 
     def minima(i: int, j: int) -> np.ndarray:
         # minima at k in [i + 1, j + 1), each against its two neighbours;
         # the three comparisons run over a block that stays in cache
-        check_finite(y[i : j + 2])
         mid = y[i + 1 : j + 1]
-        k = np.flatnonzero((mid < y[i:j]) & (mid < y[i + 2 : j + 2]) & (mid < 0.0)) + (i + 1)
+        k = np.flatnonzero((mid < y[i:j]) & (mid < y[i + 2 : j + 2]) & (mid < -band)) + (i + 1)
         curvature = y[k - 1] - 2.0 * y[k] + y[k + 1]
         shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / curvature, -0.5, 0.5)
         return filtered.start_time_s + (k + shift) / filtered.sample_rate_hz
 
-    return _epochs_by_block(filtered, n - 2, minima)
+    return EpochSequence(np.concatenate(_by_block(n - 2, minima)), filtered.sample_rate_hz)
 
 
 def extract_epochs(
@@ -116,6 +167,9 @@ def extract_epochs(
 
     detector is "crossings" or "negative_peaks"; None picks the default
     for config.method (crossings for zfr/zff, negative peaks for zpzfr).
+    Both read samples within 1e-10 of the output's largest magnitude,
+    the filters' rounding noise over digital silence, as 0 (see _BAND),
+    so silence and constant input add no epochs.
     """
     if detector is None:
         detector = DETECTOR_FOR_METHOD[config.method]

@@ -42,11 +42,10 @@ or zff extraction adds: with the detector's masks a block long, it
 peaks at about 1.1 inputs. A frame holds _FRAME samples or eight kernel
 lengths, whichever is more: 32768 for both zff and zfr (eight of zfr's
 3057 taps are 24456); zfr's folded kernel is built once per window,
-pass count and radius. Over digital silence (zero samples after the
-pre-emphasis) zfr's folded sections only ring out, far below the FFT's
-rounding noise, so each run of outputs whose FIR part sees only zero
-samples is recomputed by a direct FIR and the sections' recursion
-(_ring_out), and silence adds no false epochs.
+pass count and radius. Over digital silence the FIR and the resonator
+pieces leave rounding noise where a direct computation gives exact
+zeros; the detectors read it as 0 (see epochs), so silence adds no
+false epochs.
 detrend's input may carry a large trend, so its window sums are running
 sums restarted from a direct sum every window width: O(1) work per
 sample, rounding that grows over one window at most, and a result
@@ -54,11 +53,9 @@ within 1e-10 of max|out| of the direct sum's. zpzfr's two radius-r
 passes are serial recursions; each runs in pieces of _BLOCK samples or
 eight ring-out lengths K, whichever is more (K = 1654 at r = 0.97), and
 a piece starts from zero state K samples outside its outputs, where
-the state it misses has decayed below _TAIL_EPS. Where those K samples
-are exact zeros, it starts K samples beyond the nearest nonzero sample
-instead, so a silence keeps the whole buffer's ring and exact zeros
-(see _zero_phase_double_pole); an input of one piece runs the whole-
-buffer recursion. The detrend blocks, the FIR frames, the resonator
+the state it misses has decayed below _TAIL_EPS (see
+_zero_phase_double_pole); an input of one piece runs the whole-buffer
+recursion. The detrend blocks, the FIR frames, the resonator
 pieces and the detectors' blocks (see epochs) are independent, and
 numpy, scipy.fft and lfilter release the GIL, so _run_blocks spreads
 them over up to min(usable CPUs, 4) threads: the caller and a pool that
@@ -109,11 +106,6 @@ from .core import (
 )
 
 _TAIL_EPS = 1e-15
-
-# a double-pole ring falls by _TAIL_EPS over each ring-out length
-# (_ringout_length); over this many, a ring from any finite float64
-# state falls below 1e309 * 1e-660, far below the smallest normal number
-_UNDERFLOW_RINGOUTS = 44
 
 # samples per block in the filter stages and the detectors; any size
 # gives the same output, except that zpzfr's resonator pieces, and so the
@@ -270,25 +262,7 @@ def _run_blocks(n: int, size: int, block) -> None:
             future.result()
 
 
-def _zero_windows(frame: np.ndarray, m: int, taps: int, count: int):
-    """Which of a frame's first count outputs see only zero samples.
-
-    Two masks: over each output's kernel window of m samples, and over
-    the last taps samples of that window.
-    """
-    nonzero = np.zeros(len(frame) + 1, dtype=np.int32)
-    np.cumsum(frame != 0, out=nonzero[1:])
-    last = nonzero[m : m + count]
-    return last == nonzero[:count], last == nonzero[m - taps : m - taps + count]
-
-
-def _fft_fir(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    out: np.ndarray,
-    taps: int | None = None,
-    difference: bool = False,
-) -> list[tuple[int, int]]:
+def _fft_fir(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, difference: bool = False):
     """out[i] = np.convolve(u, kernel)[i], by FFT overlap-save.
 
     u is x, or np.diff(x) if difference: each frame then differences its
@@ -300,20 +274,16 @@ def _fft_fir(
     size less m - 1, so a kernel of a few thousand taps needs a frame of
     several times its length to gain over the direct sum. On an input
     without a trend, the result differs from the direct sum by under
-    1e-10 of max|out|; an output whose kernel window holds only zero
-    samples is exactly 0, as in the direct sum. A frame's spectrum sums
-    up to a frame of samples, so it overflows sooner than a direct sum.
-
-    Returns the runs (i, j), in order and with touching runs merged, of
-    the outputs whose last taps (default m) samples of u are all zero.
+    1e-10 of max|out|; where the direct sum is exactly 0, over digital
+    silence, it leaves rounding noise, which the detectors' band reads
+    as 0 (see epochs). A frame's spectrum sums up to a frame of samples,
+    so it overflows sooner than a direct sum.
     """
     m = len(kernel)
     n = len(x) - difference
-    taps = m if taps is None else taps
     size = next_fast_len(min(max(_FRAME, 8 * m), len(out) + m - 1), real=True)
     hop = size - m + 1
     spectrum = rfft(kernel, size)
-    runs = []
 
     def frame_out(t: int, j: int) -> None:
         # the frame is u[t - m + 1 : t + hop], zero outside u, and a view
@@ -331,33 +301,15 @@ def _fft_fir(
         else:
             frame = np.zeros(size)
             frame[a - lo : b - lo] = x[a:b]
-        # the outputs' last taps samples span frame[m - taps : m - 1 + j - t]
-        quiet = None
-        if j - t + taps - 1 - np.count_nonzero(frame[m - taps : m - 1 + j - t]) >= taps:
-            silent, quiet = _zero_windows(frame, m, taps, j - t)
         spec = rfft(frame)
         # each thread then holds two frame-sized arrays, not three
         del frame
         # errstate is per thread; the caller sees an overflow as inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             spec *= spectrum
-        y = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + j - t]
-        if quiet is not None:
-            # a direct sum over m zero samples is exactly 0, where the
-            # FFT leaves rounding noise that crosses zero
-            y[silent] = 0.0
-            edges = np.flatnonzero(np.diff(quiet, prepend=False, append=False)) + t
-            runs.extend(zip(edges[::2].tolist(), edges[1::2].tolist()))
-        out[t:j] = y
+        out[t:j] = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + j - t]
 
     _run_blocks(len(out), hop, frame_out)
-    merged = []
-    for i, j in sorted(runs):
-        if merged and merged[-1][1] == i:
-            merged[-1] = (merged[-1][0], j)
-        else:
-            merged.append((i, j))
-    return merged
 
 
 def cascaded_resonator(signal: SampledSignal, r: float, order_pairs: int) -> SampledSignal:
@@ -500,36 +452,13 @@ def _ringout_length(r: float) -> int:
     return k
 
 
-def _warm_up(u: np.ndarray, i: int, k: int, reach: int) -> tuple[int, int]:
-    """(start, stop): where a recursion over u that outputs from i >= k starts.
-
-    It starts from zero state at start and runs over u[start:stop] and
-    the zeros u[stop:i]: k samples before i, or, where those are all
-    exact zeros, k samples before the last nonzero sample, so that it
-    does not start inside a silence and put exact zeros over the ring of
-    the samples before. Only reach samples are searched: with none of
-    them nonzero, any ring from before has underflowed, and it starts
-    at i.
-    """
-    lo = i - k
-    if u[lo:i].any():
-        return lo, i
-    for b in range(lo, max(i - reach, 0), -k):
-        a = max(b - k, i - reach, 0)
-        nonzero = np.flatnonzero(u[a:b])
-        if len(nonzero):
-            p = a + int(nonzero[-1])
-            return max(p - k, 0), p + 1
-    return i, i
-
-
 def _section_pieces(r: float, u: np.ndarray, out: np.ndarray, zi: np.ndarray, k: int):
     """The section 1 / (1 - r z^-1)^2 over u into out from state zi, in pieces.
 
     Pieces of max(_BLOCK, 8k) samples run through _run_blocks. The first
-    starts from zi; each later one from a recursion from zero state
-    where _warm_up says, so the state it misses, zi's ring included, has
-    decayed below _TAIL_EPS of its size by its first output, for k =
+    starts from zi; each later one from a recursion from zero state over
+    the k samples before it, so the state it misses, zi's ring included,
+    has decayed below _TAIL_EPS of its size by its first output, for k =
     _ringout_length(r). The pieces depend only on len(u) and k, so the
     output is the same at any thread count; an input of one piece is
     one lfilter call from zi, the arithmetic of a whole-buffer
@@ -546,15 +475,11 @@ def _section_pieces(r: float, u: np.ndarray, out: np.ndarray, zi: np.ndarray, k:
         # it, which cost less than an lfilter call's Python overhead
         reversed_response = ((np.arange(k + 1) + 1.0) * r ** np.arange(k + 1))[::-1]
         for i in range(size, n, size):
-            start, stop = _warm_up(u, i, k, _UNDERFLOW_RINGOUTS * k)
-            head = u[start:stop]
-            last = head @ reversed_response[k + 1 - len(head) :]
-            before = head[:-1] @ reversed_response[k + 2 - len(head) :]
+            head = u[i - k : i]
+            last = head @ reversed_response[1:]
+            before = head[:-1] @ reversed_response[2:]
             # lfilter's state after the outputs before and last
-            state = np.array([2.0 * r * last - r * r * before, -r * r * last])
-            if stop < i and state.any():
-                _, state = lfilter(*section, np.zeros(i - stop), zi=state)
-            states[i] = state
+            states[i] = np.array([2.0 * r * last - r * r * before, -r * r * last])
     final = [zi]
 
     def piece(i: int, j: int) -> None:
@@ -581,13 +506,12 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     _ringout_length(r) (1654 at r = 0.97), spread over threads by
     _section_pieces: a forward piece starts from zero state K samples
     before its first output, a backward piece K samples after its last,
-    over the forward output as it was before the in-place pass. Where
-    those K samples are exact zeros, the start moves to K samples beyond
-    the nearest nonzero sample, so a silence keeps the whole buffer's
-    ring and its exact zeros. The output is within 1e-12 of the
-    whole-buffer recursion's peak and the same at any thread count; an
-    input of one piece, such as a 2 s lock clip, gets the whole-buffer
-    recursion's arithmetic and starts no thread.
+    over the forward output as it was before the in-place pass. The
+    output is within 1e-12 of the whole-buffer recursion's peak and the
+    same at any thread count; an input of one piece, such as a 2 s lock
+    clip, gets the whole-buffer recursion's arithmetic and starts no
+    thread. Over digital silence it leaves rounding noise where that
+    recursion gives exact zeros (see epochs).
     """
     section = ([1.0], _resonator_sos(r))
     k = _ringout_length(r)
@@ -651,48 +575,18 @@ def _section_response(b: tuple[float, ...], r: float) -> np.ndarray | None:
     return response[: last + 1].copy() if last + 1 < _FOLD_TAPS else None
 
 
-def _ring_out(
-    x: np.ndarray, fir: np.ndarray, sections, y: np.ndarray, runs, reach: int, difference: bool
-):
-    """Recompute y over runs whose FIR part saw only zero samples of u.
-
-    u is x, or np.diff(x) if difference, as in _fft_fir; each head
-    differences only its own slice of x. There y is u convolved with
-    fir, then filtered by the sections: only
-    their ring-out, which decays far below the FFT's rounding noise.
-    Each run is recomputed whole, in order, as a direct sum of the FIR
-    and the sections from zero state reach outputs before it; cut into
-    pieces, a piece would start from zero and put an exact 0 after a
-    negative ring, which the detector counts as a crossing.
-    """
-    for s, e in runs:
-        if s == 0:
-            # no sample of x precedes the run: its kernel windows hold
-            # only zeros, so _fft_fir left it exactly 0
-            continue
-        lo = max(s - reach, 0)
-        a = max(lo - len(fir) + 1, 0)
-        u = x[a : s + difference]
-        head = np.convolve(np.diff(u) if difference else u, fir)[lo - a : s - a]
-        states = _lfilter_blocks(sections, head, head)
-        y[s:e] = 0.0
-        _lfilter_blocks(sections, y[s:e], y[s:e], zi=states)
-
-
 @functools.lru_cache(maxsize=16)
 def _causal_filter(n_half: int, m: int, r: float):
-    """(fir, kernel, taps, folded, recursive) of _causal_pipeline.
+    """(kernel, recursive) of _causal_pipeline.
 
-    fir is q^m; kernel is fir convolved with the folded sections'
-    responses; taps counts the FIR part, fir and the folded sections'
-    numerators; folded and recursive list the sections (b, a) folded in
-    and left to run recursively. Cached, with read-only arrays: a short
-    input would otherwise spend more time on zfr's kernel than on its
-    filtering.
+    kernel is q^m convolved with the folded sections' responses;
+    recursive lists the sections (b, a) left to run recursively. Cached,
+    with a read-only kernel: a short input would otherwise spend more
+    time on zfr's kernel than on its filtering.
     """
-    fir = _zff_kernel(n_half, m)
+    kernel = _zff_kernel(n_half, m)
     d2, a = (1.0, -2.0, 1.0), tuple(_resonator_sos(r))
-    kernel, taps, folded, recursive = fir, len(fir), [], []
+    recursive = []
     for b in (d2, d2 if m == 2 else (1.0,)):
         if b == a:
             continue
@@ -700,12 +594,9 @@ def _causal_filter(n_half: int, m: int, r: float):
         if response is None:
             recursive.append((b, a))
         else:
-            folded.append((b, a))
             kernel = np.convolve(kernel, response)
-            taps += len(b) - 1
-    fir.flags.writeable = False
     kernel.flags.writeable = False
-    return fir, kernel, taps, tuple(folded), tuple(recursive)
+    return kernel, tuple(recursive)
 
 
 def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -> SampledSignal:
@@ -722,12 +613,11 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
     one pass) runs recursively after the FIR. Output sample i is sample
     i + m*N of that run. The FIR runs by FFT overlap-save, which its
     input, carrying no trend, allows; pre-emphasis runs inside its
-    frames. Over digital silence a folded section only rings out, below
-    the FFT's rounding noise, so outputs whose FIR part (q^m and the
-    folded sections' numerators) sees only zero samples of the
-    pre-emphasized input are recomputed directly (see _ring_out).
-    Further passes run as detrend: folded into the FIR they cost
-    precision. The output is checked for finiteness once, before the
+    frames. A section left recursive multiplies the FFT's rounding noise
+    by its DC gain, 1 / (1 - r)^2: 1e6 at r = 0.999, where zfr at one
+    pass runs both sections recursively and lands within 1e-9 of the
+    direct computation's peak, not 1e-10. Further passes run as
+    detrend: folded into the FIR they cost precision. The output is checked for finiteness once, before the
     trim. Samples within passes*N of either end (before the trim) see a
     zero-extended input where detrend truncates its window; they
     survive only when round(trim_s * fs) < passes*N: trim_s = 0, three
@@ -737,12 +627,10 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
         x, fs, pre = signal.samples, signal.sample_rate_hz, config.preemphasis
         m = min(config.detrend_passes, 2)
         n_half = _window_half_width(len(x) - pre, fs, config.detrend_window_s)
-        fir, kernel, taps, folded, recursive = _causal_filter(n_half, m, config.r)
+        kernel, recursive = _causal_filter(n_half, m, config.r)
         # recursive sections need the leading m*N samples for their state
         y = np.empty(m * n_half + len(x) - pre)
-        runs = _fft_fir(x, kernel, y, taps, pre)
-        if folded:
-            _ring_out(x, fir, folded, y, runs, len(kernel), pre)
+        _fft_fir(x, kernel, y, pre)
         if recursive:
             _lfilter_blocks(recursive, y, y)
         start = signal.start_time_s + 1.0 / fs if pre else signal.start_time_s

@@ -68,12 +68,19 @@ class TestPositiveZeroCrossings:
         out = detect_positive_zero_crossings(SampledSignal([1.0, 2.0, 3.0], 1000.0))
         assert len(out) == 0
 
-    def test_zero_counts_as_crossing(self):
-        # [-1, 0, -1, 1]: the zero sample completes one crossing, the
-        # final rise another; interpolated at 1/fs and 2.5/fs
+    def test_zero_inside_the_band_is_no_crossing(self):
+        # [-1, 0, -1, 1]: the zero sample lies within the band, so only
+        # the final rise is a passage, interpolated at 2.5/fs
         out = detect_positive_zero_crossings(SampledSignal([-1.0, 0.0, -1.0, 1.0], 1000.0))
-        assert len(out) == 2
-        assert out.times_s == pytest.approx([0.001, 0.0025])
+        assert out.times_s.tolist() == [0.0025]
+
+    def test_passage_through_the_band_is_its_first_sample_above(self):
+        # samples within 1e-10 of the peak, zeros or rounding noise,
+        # separate the last sample below from the first above: the epoch
+        # is that first sample above, not interpolated
+        for y in ([-1.0, 0.0, 0.0, 2.0], [-1.0, 1e-11, -2e-10, 2.0]):
+            out = detect_positive_zero_crossings(SampledSignal(y, 1000.0))
+            assert out.times_s.tolist() == [0.003]
 
     def test_offset_applied(self):
         out = detect_positive_zero_crossings(
@@ -82,29 +89,35 @@ class TestPositiveZeroCrossings:
         assert out.times_s[0] == pytest.approx(0.2505)
 
 
-# signed zeros, subnormals and values either side of them
-CROSSING_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0])
+# signed zeros, subnormals, values at and either side of the band of
+# 1e-10 of a peak of 1 or 2, and the peak itself
+BAND_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-11, -1e-11,
+                               1e-10, -1e-10, 2e-10, -2e-10, 1.0, -1.0])
+# values of either sign, none within the band of any list of them
+OUTSIDE_VALUES = st.one_of(st.floats(min_value=1e-3, max_value=2.0),
+                           st.floats(min_value=-2.0, max_value=-1e-3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.one_of(CROSSING_VALUES, DENSE), min_size=1, max_size=40))
-def test_crossings_match_the_two_comparison_form(values):
-    # one mask, neg[k] > neg[k + 1], finds the same k as the form it
-    # replaced; -0.0 is not negative, so a step from a negative value
-    # to either zero counts
+@given(values=st.lists(OUTSIDE_VALUES, min_size=1, max_size=40),
+       block=st.integers(min_value=1, max_value=8))
+def test_crossings_match_the_two_comparison_form(values, block):
+    # with no sample within the band, every passage is a step from
+    # y < 0 to y >= 0, interpolated bit for bit as before the band
     y = np.array(values, dtype=float)
-    out = detect_positive_zero_crossings(SampledSignal(y, 1000.0))
+    with mock.patch.object(zf_epochs, "_BLOCK", block):
+        out = detect_positive_zero_crossings(SampledSignal(y, 1000.0))
     k = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
     want = (k - y[k] / (y[k + 1] - y[k])) / 1000.0
     assert np.array_equal(out.times_s, want)
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.one_of(CROSSING_VALUES, DENSE), min_size=1, max_size=40),
+@given(values=st.lists(OUTSIDE_VALUES, min_size=1, max_size=40),
        block=st.integers(min_value=1, max_value=8))
 def test_negative_peaks_match_the_whole_output_comparisons(values, block):
-    # minima found block by block, at the blocks' edges too, are the
-    # three comparisons' over the whole output
+    # with no sample within the band, the minima found block by block,
+    # at the blocks' edges too, are the three comparisons' with 0
     y = np.array(values, dtype=float)
     with mock.patch.object(zf_epochs, "_BLOCK", block):
         out = detect_negative_peaks(SampledSignal(y, 1000.0))
@@ -112,6 +125,17 @@ def test_negative_peaks_match_the_whole_output_comparisons(values, block):
     k = np.nonzero((mid < y[:-2]) & (mid < y[2:]) & (mid < 0.0))[0] + 1
     shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / (y[k - 1] - 2.0 * y[k] + y[k + 1]), -0.5, 0.5)
     assert np.array_equal(out.times_s, (k + shift) / 1000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(BAND_VALUES, DENSE), min_size=1, max_size=40),
+       block=st.integers(min_value=1, max_value=8))
+def test_detectors_match_the_banded_whole_array_forms(values, block):
+    # samples within the band, across block edges too, read as 0
+    sig = SampledSignal(np.array(values, dtype=float), 1000.0)
+    with mock.patch.object(zf_epochs, "_BLOCK", block):
+        for detect, whole in DETECTORS:
+            assert np.array_equal(detect(sig).times_s, whole(sig))
 
 
 class TestNegativePeaks:
@@ -128,6 +152,13 @@ class TestNegativePeaks:
             SampledSignal([0.0, -1.0, -0.5, -1.2, 0.0], 1000.0)
         )
         assert len(out) == 2
+
+    def test_minimum_within_the_band_rejected(self):
+        # the band is 1e-10 of the peak of 1: a minimum at half of it is
+        # rounding noise, one at twice it an epoch
+        for depth, count in ((-0.5e-10, 0), (-2e-10, 1)):
+            out = detect_negative_peaks(SampledSignal([1.0, 0.0, depth, 0.0, 0.5], 1000.0))
+            assert len(out) == count
 
     def test_parabolic_refinement(self):
         # samples of (x - 5.25)^2 - 1 at integers: vertex at 5.25
@@ -158,21 +189,34 @@ def test_crossings_scale_invariance(scale):
 
 
 def whole_array_crossings(filtered):
-    """The crossings detector over the whole output, after validate_signal."""
+    """The crossings detector over the whole output, after validate_signal.
+
+    Among the samples outside the band of 1e-10 max|y|, each step from
+    one below it to one above it, interpolated when the two are
+    adjacent, else at the one above.
+    """
     validate_signal(filtered)
     y = filtered.samples
-    k = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
-    return filtered.start_time_s + (k - y[k] / (y[k + 1] - y[k])) / filtered.sample_rate_hz
+    outside = np.flatnonzero(np.abs(y) > 1e-10 * np.max(np.abs(y)))
+    below = y[outside] < 0.0
+    t = np.flatnonzero(below[:-1] & ~below[1:])
+    k, p = outside[t], outside[t + 1]
+    at = np.where(p == k + 1, k - y[k] / (y[p] - y[k]), p)
+    return filtered.start_time_s + at / filtered.sample_rate_hz
 
 
 def whole_array_negative_peaks(filtered):
-    """The negative-peak detector over the whole output, after validate_signal."""
+    """The negative-peak detector over the whole output, after validate_signal.
+
+    Strict local minima below the band of 1e-10 max|y|.
+    """
     validate_signal(filtered)
     y = filtered.samples
     if len(y) < 3:
         return np.empty(0)
     mid = y[1:-1]
-    k = np.nonzero((mid < y[:-2]) & (mid < y[2:]) & (mid < 0.0))[0] + 1
+    band = 1e-10 * np.max(np.abs(y))
+    k = np.nonzero((mid < y[:-2]) & (mid < y[2:]) & (mid < -band))[0] + 1
     shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / (y[k - 1] - 2.0 * y[k] + y[k + 1]), -0.5, 0.5)
     return filtered.start_time_s + (k + shift) / filtered.sample_rate_hz
 
@@ -189,20 +233,32 @@ def _small_blocks(monkeypatch, block, workers):
     monkeypatch.setattr(zf_filters, "_worker_count", lambda blocks: min(workers, blocks))
 
 
+@pytest.mark.parametrize("value", [0.0, 0.25, -0.25])
+@pytest.mark.parametrize("detect", [detect for detect, _ in DETECTORS])
+def test_constant_output_has_no_epochs(detect, value):
+    # all zeros leave a band of 0, and any constant has no passage or minimum
+    assert len(detect(SampledSignal(np.full(1000, value), 1000.0))) == 0
+
+
 class TestPooledDetectors:
     """The detectors run their blocks on the filters' pool."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("detect,whole", DETECTORS)
     def test_many_blocks_match_the_whole_array(self, monkeypatch, detect, whole, workers):
-        # 64-sample blocks over 50 of them. The crossings from sample 63
-        # to 64 and from 127 to 128, onto an exact zero, straddle a block
-        # edge; the minima at 127, 193, 256 and 320 are the first or last
-        # sample of a block, whether blocks count from sample 0 or 1
+        # 64-sample blocks over 50 of them. The crossing from sample 63
+        # to 64 straddles a block edge. The passages from 127 and from
+        # 191, each the last sample of a block, run through an exact
+        # zero to 129 and 193; the one from 999 runs through 250 exact
+        # zeros, three whole blocks among them, to 1250. The minima at
+        # 127, 193, 256 and 320 are the first or last sample of a block,
+        # whether blocks count from sample 0 or 1
         y = np.random.default_rng(workers).normal(size=64 * 50 + 13)
         y[62:66] = [-1.0, -0.5, 0.5, 1.0]
         y[126:130] = [-1.0, -0.5, 0.0, 1.0]
-        crossings = [63.5, 128.0]
+        y[190:194] = [-1.0, -0.5, 0.0, 1.0]
+        y[999:1251] = np.concatenate(([-1.0], np.zeros(250), [1.0]))
+        crossings = [63.5, 129.0, 193.0, 1250.0]
         minima = [127, 193, 256, 320]
         if detect is detect_negative_peaks:
             for c in minima:
@@ -426,6 +482,13 @@ class TestExtractEpochs:
         crossings = extract_epochs(sig, cfg, detector="crossings")
         peaks = extract_epochs(sig, cfg, detector="negative_peaks")
         assert not np.array_equal(crossings.times_s, peaks.times_s)
+
+    def test_constant_input_gives_no_zpzfr_epochs(self):
+        # zpzfr filters a constant to rounding noise, under 1e-9 away
+        # from the ends against an edge peak of 2.6e3, whose minima are
+        # no epochs
+        sig = SampledSignal(np.full(32000, 0.25), 16000.0)
+        assert len(extract_epochs(sig, FilterConfig("zpzfr"))) == 0
 
     def test_unknown_detector(self):
         sig, _ = synth_voice(speaker("A", 0.5, seed=9))

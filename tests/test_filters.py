@@ -287,12 +287,15 @@ class TestZffBehavior:
                                                                  passes, sections):
         # at r = 1 such a section is an exact identity, so only its cost
         # shows; zfr's sections decay, so they are folded into its FIR, and
-        # only zff's double integrator at one pass still runs recursively
+        # only zff's double integrator at one pass still runs recursively.
+        # A silence gap makes no recursion run either
         real = filters.lfilter
         calls = []
         monkeypatch.setattr(filters, "lfilter",
                             lambda b, a, x, zi: calls.append(b) or real(b, a, x, zi=zi))
-        sig = SampledSignal(np.random.default_rng(0).normal(size=4000), 8000.0)
+        x = np.random.default_rng(0).normal(size=4000)
+        x[1000:1600] = 0.0
+        sig = SampledSignal(x, 8000.0)
         run_pipeline(sig, FilterConfig(method, detrend_passes=passes))
         assert len(calls) == sections
 
@@ -313,30 +316,15 @@ class TestZffBehavior:
 
 
 class TestZfrBehavior:
-    @pytest.mark.parametrize("gaps", [0, 1, 3])
-    def test_folded_sections_run_only_over_zero_runs(self, monkeypatch, gaps):
-        # each run of outputs whose FIR part saw only zeros is recomputed
-        # once, by both sections over the run's head and over the run,
-        # each a single block here
-        real = filters.lfilter
-        calls = []
-        monkeypatch.setattr(filters, "lfilter",
-                            lambda b, a, x, zi: calls.append(b) or real(b, a, x, zi=zi))
-        x = np.random.default_rng(gaps).normal(size=8000)
-        for k in range(gaps):
-            x[1000 + 2000 * k : 1600 + 2000 * k] = 0.0
-        sig = SampledSignal(x, 8000.0)
-        got = run_pipeline(sig, FilterConfig("zfr"))
-        assert len(calls) == 4 * gaps
-        assert_matches_oracle(got, whole_buffer_pipeline(sig, FilterConfig("zfr")), "zfr")
-
-    @pytest.mark.parametrize("r,passes,recursive", [(0.995, 1, 1), (0.995, 2, 0), (0.999, 2, 2)])
+    @pytest.mark.parametrize("r,passes,recursive", [(0.995, 1, 1), (0.995, 2, 0), (0.999, 2, 2),
+                                                    (0.999, 1, 2)])
     def test_sections_that_outlast_the_fold_cap_run_recursively(self, monkeypatch, r, passes,
                                                                 recursive):
         # at r = 0.995 only the lone pole pair of one pass decays too
         # slowly to fold, at r = 0.999 both sections do: they run over the
-        # whole FIR output, and a folded one still gets its exact ring-out
-        # over the silences
+        # whole FIR output, between silences. At one pass and r = 0.999
+        # they multiply the FFT's rounding by their DC gain, 1e6, so that
+        # case alone is held to 1e-9 of the peak
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # outside the recommended range
             cfg = FilterConfig("zfr", r=r, detrend_passes=passes)
@@ -358,8 +346,7 @@ class TestZfrBehavior:
         got = run_pipeline(sig, cfg)
         assert len(whole) == recursive
         want = whole_buffer_pipeline(sig, cfg)
-        assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
-        assert_matches_oracle(got, want, "zfr")
+        assert_matches_oracle(got, want, "zfr", 1e-9 if (r, passes) == (0.999, 1) else 1e-10)
 
     def test_repeat_extraction_reuses_the_kernel(self, monkeypatch):
         # the folded kernel depends on (N, m, r) alone: a 2 s lock clip
@@ -377,8 +364,8 @@ class TestZfrBehavior:
         assert np.array_equal(first.times_s, again.times_s)
         extract_epochs(sig, FilterConfig("zfr", detrend_window_s=0.01))
         assert len(calls) == 4
-        fir, kernel = filters._causal_filter(120, 2, 0.97)[:2]
-        assert len(kernel) == 3057 and not fir.flags.writeable and not kernel.flags.writeable
+        kernel = filters._causal_filter(120, 2, 0.97)[0]
+        assert len(kernel) == 3057 and not kernel.flags.writeable
 
     @pytest.mark.parametrize("source", ["noise", "A", "B"])
     @pytest.mark.parametrize("passes", [1, 2, 3])
@@ -621,16 +608,17 @@ def _epochs(filtered, method):
     return detect(filtered).times_s
 
 
-def assert_matches_oracle(got, want, method):
+def assert_matches_oracle(got, want, method, rel=1e-10):
     """got matches the whole-buffer oracle to a tolerance.
 
     zfr and zff run their FIR by FFT, and detrend its window sums as
     running sums, where the oracle sums both directly, so the output may
-    differ by 1e-10 of its peak and carries the same epochs within 1e-9 s.
+    differ by rel (1e-10) of its peak and carries the same epochs within
+    1e-9 s.
     """
     assert len(got) == len(want) and got.start_time_s == want.start_time_s
     err = np.max(np.abs(got.samples - want.samples))
-    assert err <= 1e-10 * np.max(np.abs(want.samples))
+    assert err <= rel * np.max(np.abs(want.samples))
     t_got, t_want = _epochs(got, method), _epochs(want, method)
     assert len(t_got) == len(t_want)
     assert np.all(np.abs(t_got - t_want) <= 1e-9)
@@ -638,15 +626,15 @@ def assert_matches_oracle(got, want, method):
 
 # (input, method) of test_digital_silence. A constant is a run of zeros
 # only to the pre-emphasized methods; zpzfr filters the constant itself.
-# Only zpzfr's resonator pieces search a silence for its last sample
+# The silences of seven seconds put zpzfr's resonator pieces far from
+# any voice
 SILENCE_CASES = [
     (order, method)
     for order in ["voice_then_silence", "silence_then_voice", "silence_inside", "gap_of_600",
                   "gap_longer_than_block", "silence_inside_at_44k", "voice_then_long_silence",
-                  "long_silence_then_voice"]
+                  "long_silence_then_voice", "constant_inside"]
     for method in ["zfr", "zff", "zpzfr"]
-] + [("constant_inside", "zfr"), ("constant_inside", "zff"),
-     ("voice_then_silence_past_reach", "zpzfr"), ("silence_past_reach_then_voice", "zpzfr")]
+] + [("voice_then_silence_past_reach", "zpzfr"), ("silence_past_reach_then_voice", "zpzfr")]
 
 
 class TestBlockwiseMatchesWholeBuffer:
@@ -697,19 +685,19 @@ class TestBlockwiseMatchesWholeBuffer:
 
     @pytest.mark.parametrize("order,method", SILENCE_CASES)
     def test_digital_silence(self, monkeypatch, method, order):
-        # a direct sum over a window of exact zeros is exactly 0; FFT
-        # rounding noise there would cross zero every few samples. zfr's
-        # sections ring on into the silence, below that noise, so those
-        # outputs are recomputed: over gaps shorter than its 3057-tap
-        # kernel, and over one run that crosses block edges. Pre-emphasis
-        # runs inside the FFT frames, so a constant, differenced there,
-        # is a run of zeros too. zpzfr's passes run in pieces of _BLOCK
-        # samples; a long silence at either end puts a piece's edge deep
-        # inside it, with no other voice's ring to mask a piece that
-        # started there from zero state. Past 44 ring-out lengths of
-        # silence (72776 samples) a piece starts there anyway: any ring
-        # has underflowed. Blocks of 32768 samples put piece edges both
-        # within that reach of the 1 s voice and past it
+        # a direct sum over a window of exact zeros is exactly 0, where
+        # the FFT and the resonator pieces leave rounding noise that
+        # crosses zero every few samples; the detectors' band reads it as
+        # 0, so the raw outputs agree to the oracle's tolerance and the
+        # epochs are the same. Silences shorter than zfr's 3057-tap
+        # kernel and longer than a block are covered. Pre-emphasis runs
+        # inside the FFT frames, so a constant, differenced there, is a
+        # run of zeros too; zpzfr filters the constant to a level of
+        # about 1e-14 of the peak. zpzfr's passes run in pieces of
+        # _BLOCK samples, and a long silence at either end puts a
+        # piece's edge deep inside it, where the piece starts from zero
+        # state. Blocks of 32768 samples put piece edges both near the
+        # 1 s voice and seconds away from it
         block = 1 << 15
         monkeypatch.setattr(filters, "_BLOCK", block)
         fs = 44100.0 if order == "silence_inside_at_44k" else 16000.0
@@ -729,17 +717,15 @@ class TestBlockwiseMatchesWholeBuffer:
         sig = SampledSignal(np.concatenate(parts), fs)
         for passes in (1, 2, 3):
             cfg = FilterConfig(method, detrend_passes=passes)
-            got = _flush_subnormals(run_pipeline(sig, cfg))
-            want = _flush_subnormals(whole_buffer_pipeline(sig, cfg))
-            assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
-            assert_matches_oracle(got, want, method)
+            assert_matches_oracle(run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg), method)
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     @pytest.mark.parametrize("order", ["voice_then_silence", "silence_then_voice",
                                        "silence_inside"])
     def test_digital_silence_at_three_passes(self, method, order):
-        # the third pass runs detrend on the sections' output, which is
-        # exactly 0 over silence wherever no section rings into it
+        # the third pass runs detrend on the sections' output; the
+        # oracle's is exactly 0 over silence wherever no section rings
+        # into it, where the pipeline's holds the FFT's rounding noise
         sig, _ = synth_voice(speaker("A", 1.0, seed=5, noise_snr_db=20.0))
         x, gap = sig.samples, np.zeros(int(0.3 * sig.sample_rate_hz))
         parts = {"voice_then_silence": (x, gap), "silence_then_voice": (gap, x),
@@ -747,7 +733,6 @@ class TestBlockwiseMatchesWholeBuffer:
         sig = SampledSignal(np.concatenate(parts), sig.sample_rate_hz)
         cfg = FilterConfig(method, detrend_passes=3)
         got, want = run_pipeline(sig, cfg), whole_buffer_pipeline(sig, cfg)
-        assert np.array_equal(got.samples == 0.0, want.samples == 0.0)
         if method == "zff" or (method, order) == ("zfr", "silence_then_voice"):
             assert np.count_nonzero(want.samples == 0.0) > 4000
         assert_matches_oracle(got, want, method)
@@ -786,21 +771,6 @@ class TestBlockwiseMatchesWholeBuffer:
             got.append(filters._zero_phase_double_pole(x, r))
         assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
-
-
-def _flush_subnormals(signal):
-    """signal with its subnormal samples set to 0.
-
-    zfr's ring-out over seconds of digital silence underflows. Subnormal
-    floats keep no relative precision, so there a recursion started a
-    kernel length back rounds differently from one run over the whole
-    input: a third detrend pass then turns their last few subnormals
-    into exact zeros a few samples apart, and the detector counts the
-    step from a negative subnormal to 0 as a crossing.
-    """
-    x = signal.samples
-    flushed = np.where(np.abs(x) < np.finfo(np.float64).tiny, 0.0, x)
-    return SampledSignal(flushed, signal.sample_rate_hz, signal.start_time_s)
 
 
 def assert_matches_old_detrend(got, x, n_half):
@@ -843,9 +813,8 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_fft_blocks_match_direct_convolution(self, monkeypatch, workers):
         # kernels shorter and longer than a block and than half a frame,
-        # for the full output, the input's length and one sample; an
-        # output is exactly 0 where, and only where, its window holds
-        # only zeros
+        # for the full output, the input's length and one sample, over an
+        # input with gaps of zeros
         _use_workers(monkeypatch, workers)
         monkeypatch.setattr(filters, "_BLOCK", 64)
         monkeypatch.setattr(filters, "_FRAME", 128)
@@ -860,32 +829,6 @@ class TestThreadedBlocks:
                 filters._fft_fir(x, kernel, out)
                 want = full[:length]
                 assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-                assert np.array_equal(out == 0.0, want == 0.0)
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_fft_fir_reports_the_zero_runs(self, monkeypatch, workers):
-        # the runs of outputs whose last taps inputs are all zero, merged
-        # across frames, for a window shorter than the kernel and its own
-        # length; gaps at both ends, across frame edges, and of fewer
-        # than taps samples
-        _use_workers(monkeypatch, workers)
-        monkeypatch.setattr(filters, "_BLOCK", 64)
-        monkeypatch.setattr(filters, "_FRAME", 128)
-        rng = np.random.default_rng(workers)
-        x = rng.normal(size=3000)
-        x[:40] = x[300:330] = x[500:1400] = x[2950:] = 0.0
-        kernel = rng.normal(size=37)
-        for taps in (10, 37):
-            out = np.empty(len(x) + 36)
-            runs = filters._fft_fir(x, kernel, out, taps)
-            padded = np.concatenate((np.zeros(taps - 1), x, np.zeros(36)))
-            quiet = np.convolve(padded != 0, np.ones(taps), mode="valid")[: len(out)] == 0
-            edges = np.flatnonzero(np.diff(quiet, prepend=False, append=False))
-            assert runs == list(zip(edges[::2].tolist(), edges[1::2].tolist()))
-            # the 30-sample gap holds no window of 37 samples
-            assert len(runs) == {10: 4, 37: 3}[taps]
-            want = np.convolve(x, kernel)
-            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         # every stage of the lock's 2 s clip runs on the calling thread;
