@@ -38,14 +38,15 @@ input-sized arrays. zfr and zff compute their FIR by FFT overlap-save,
 to the tolerance _fft_fir states; their input carries no trend. Each
 frame differences its own slice of the raw input, so no pre-emphasized
 copy is made, and the FIR's output is the one input-sized array a zfr
-or zff extraction adds: with the detector's masks a block long, it
-peaks at about 1.1 inputs. A frame holds _FRAME samples or eight kernel
-lengths, whichever is more: 32768 for both zff and zfr (eight of zfr's
-3057 taps are 24456); zfr's folded kernel is built once per window,
-pass count and radius. Over digital silence the FIR and the resonator
-pieces leave rounding noise where a direct computation gives exact
-zeros; the detectors read it as 0 (see epochs), so silence adds no
-false epochs.
+or zff extraction adds (zff at one pass adds two; see _causal_pipeline):
+with the detector's masks a block long, it peaks at about 1.1 inputs.
+A frame holds _FRAME samples or eight kernel lengths, whichever is
+more: 32768 for both zff and zfr (eight of zfr's 3057 taps are 24456);
+zfr's folded kernel is built once per window, pass count and radius.
+Over digital silence the FIR, the resonator pieces and detrend's
+running sums leave rounding noise where a direct computation gives
+exact zeros; the detectors read it as 0 (see epochs), so silence adds
+no false epochs.
 detrend's input may carry a large trend, so its window sums are running
 sums restarted from a direct sum every window width: O(1) work per
 sample, rounding that grows over one window at most, and a result
@@ -202,20 +203,18 @@ def _resonator_sos(r: float) -> list[float]:
     return [1.0, -2.0 * r, r * r]
 
 
-def _lfilter_blocks(sections, x: np.ndarray, out: np.ndarray, zi=None):
-    """The second-order lfilter(b, a) sections in cascade over x into out.
+def _lfilter_blocks(sections, x: np.ndarray, out: np.ndarray) -> None:
+    """The lfilter(b, a) sections, b no longer than a, in cascade over x into out.
 
-    Block by block, every section runs on a block while it is in cache.
-    zi lists initial states (zero if None); the final ones are returned.
-    out may be x.
+    Block by block, every section runs on a block while it is in cache,
+    from zero initial state. out may be x.
     """
-    states = [np.zeros(2) for _ in sections] if zi is None else list(zi)
+    states = [np.zeros(len(a) - 1) for _, a in sections]
     for i in range(0, len(x), _BLOCK):
         y = x[i : i + _BLOCK]
         for k, (b, a) in enumerate(sections):
             y, states[k] = lfilter(b, a, y, zi=states[k])
         out[i : i + _BLOCK] = y
-    return states
 
 
 def _worker_count(blocks: int) -> int:
@@ -352,9 +351,8 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
     and is truncated where it overhangs the signal ends. Window sums
     run as running sums restarted from a direct sum every 2N + 1
     samples, so the result differs from the direct sum's by under 1e-10
-    of max|out|, and is exactly 0 where a window holds only zero
-    samples. Raises NonFinite if a window sum, or the difference of two
-    samples 2N + 1 apart, overflows float64, and, as validate_signal
+    of max|out|. Raises NonFinite if a window sum, or the difference of
+    two samples 2N + 1 apart, overflows float64, and, as validate_signal
     does, if a sample is NaN or infinite: the check of each block's
     output finds both, so the input is read for finiteness only then.
     """
@@ -388,13 +386,6 @@ def detrend(signal: SampledSignal, window_s: float) -> SampledSignal:
             sums[::width] = b[1 : 1 + rows * width].reshape(rows, width).sum(axis=1)
             np.cumsum(full, axis=1, out=full)
             np.cumsum(sums[full.size :], out=sums[full.size :])
-            nonzero = b != 0
-            if min(n, stop) - max(start, 0) - np.count_nonzero(nonzero) > n_half:
-                # a direct sum over zero samples is exactly 0, where the
-                # running sum leaves rounding noise; a window holds at
-                # least N + 1 samples of x
-                counts = np.concatenate(([0], np.cumsum(nonzero)))
-                sums[counts[1 + width :] == counts[1 : 1 + j - i]] = 0.0
             # the window covers 2N + 1 samples except within N of either end
             lo = min(max(i, n_half), j)
             hi = max(min(j, n - n_half), lo)
@@ -426,11 +417,12 @@ def _trimmed(signal: SampledSignal, trim_s: float) -> SampledSignal:
     # trim_ends without reading the samples for finiteness first
     if trim_s < 0.0:
         raise BadConfig(f"trim_s must be >= 0, got {trim_s}")
-    if not signal.duration_s > 2.0 * trim_s:
+    n = int(round(trim_s * signal.sample_rate_hz))
+    # trim_s rounded to samples may be half the signal or more
+    if not signal.duration_s > 2.0 * trim_s or 2 * n >= len(signal):
         raise TrimTooLarge(
             f"cannot trim {trim_s} s from each end of a {signal.duration_s} s signal"
         )
-    n = int(round(trim_s * signal.sample_rate_hz))
     if n == 0:
         return signal
     out = signal.samples[n:-n]
@@ -616,10 +608,16 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
     frames. A section left recursive multiplies the FFT's rounding noise
     by its DC gain, 1 / (1 - r)^2: 1e6 at r = 0.999, where zfr at one
     pass runs both sections recursively and lands within 1e-9 of the
-    direct computation's peak, not 1e-10. Further passes run as
-    detrend: folded into the FIR they cost precision. The output is checked for finiteness once, before the
-    trim. Samples within passes*N of either end (before the trim) see a
-    zero-extended input where detrend truncates its window; they
+    direct computation's peak, not 1e-10. At r = 1 that gain is
+    unbounded: zff at one pass drifted from an extended-precision run
+    by a share of the peak that grows with the input's length, 6.5e-9
+    at 50 s of voice. So pre-emphasis and the double integrator run as
+    what they are together, one integrator over x[k + 1] - x[0], held at
+    its last value past the end: a second input-sized array, and a drift
+    of 2.1e-12. Further passes run as detrend: folded into the FIR they
+    cost precision. The output is checked for finiteness once, before
+    the trim. Samples within passes*N of either end (before the trim)
+    see a zero-extended input where detrend truncates its window; they
     survive only when round(trim_s * fs) < passes*N: trim_s = 0, three
     or more passes, or 11.025 kHz by default.
     """
@@ -630,10 +628,16 @@ def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -
         kernel, recursive = _causal_filter(n_half, m, config.r)
         # recursive sections need the leading m*N samples for their state
         y = np.empty(m * n_half + len(x) - pre)
+        if pre and recursive == (((1.0,), (1.0, -2.0, 1.0)),):
+            # zff at one pass: the difference and the double integrator
+            # are one integrator over x[k + 1] - x[0] (see above)
+            x0, x = x[0], np.concatenate((x[1:], np.full(m * n_half, x[-1])))
+            x -= x0
+            pre, recursive = False, (((1.0,), (1.0, -1.0)),)
         _fft_fir(x, kernel, y, pre)
         if recursive:
             _lfilter_blocks(recursive, y, y)
-        start = signal.start_time_s + 1.0 / fs if pre else signal.start_time_s
+        start = signal.start_time_s + 1.0 / fs if config.preemphasis else signal.start_time_s
         # rebinding out frees each stage's array once the next has its output
         out = SampledSignal(y[m * n_half :], fs, start)
         for _ in range(config.detrend_passes - 2):

@@ -5,6 +5,18 @@ import pytest
 
 from zfepoch import SampledSignal, speaker, synth_voice, write_wav
 
+pytest_plugins = ["pytester"]
+
+
+def pytest_collection_modifyitems(items):
+    # the hypothesis plugin's report hook, on a failing example, touches
+    # mypy_extensions.TypedDict, whose DeprecationWarning under -W error
+    # ends the whole session with INTERNALERROR, and no test after the
+    # failing one runs. Marks apply after the command line's -W filters
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings(
+            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"))
+
 
 def voiced_wav(path, name, duration_s, seed, noise_snr_db=None, sample_rate_hz=16000.0):
     """Synthesize a built-in speaker and write it as a normalized WAV."""
