@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
@@ -659,8 +659,8 @@ def _input(case):
 
 
 def _example_table():
-    # (label, Case) of the hand-picked cases, which the property runs
-    # first. Noise of a block and 0.2 s at every rate, pass count and method
+    # (label, Case) of the hand-picked cases, each a test of its own.
+    # Noise of a block and 0.2 s at every rate, pass count and method
     table = [(f"configs[{fs}-{t}-{p}-{method}]", Case((("noise", _BLOCK + int(0.2 * fs)),),
                                                       FilterConfig(method, detrend_passes=p,
                                                                    trim_s=t), fs, seed=p))
@@ -694,7 +694,7 @@ def _example_table():
         voice_then_long_silence=(v, lg), long_silence_then_voice=(lg, v),
         constant_inside=(v, ("constant", 16000), v), voice_then_silence_past_reach=(v, fg),
         silence_past_reach_then_voice=(fg, v))
-    table += [(f"digital_silence[{order}-{method}] at {passes} passes",
+    table += [(f"digital_silence[{order}-{method}-passes={passes}]",
                Case(segments, FilterConfig(method, detrend_passes=passes),
                     44100.0 if order.endswith("44k") else 16000.0, block=block))
               for order, segments in silences.items()
@@ -748,9 +748,10 @@ def test_pipeline_matches_whole_buffer(case):
         assert_matches_oracle(got, whole_buffer_pipeline(sig, cfg), cfg.method)
 
 
-for _label, _case in reversed(_example_table()):
-    test_pipeline_matches_whole_buffer = example(case=_case).via(_label)(
-        test_pipeline_matches_whole_buffer)
+@pytest.mark.parametrize("case", [pytest.param(case, id=label)
+                                  for label, case in _example_table()])
+def test_pipeline_matches_whole_buffer_on_example(case):
+    test_pipeline_matches_whole_buffer.hypothesis.inner_test(case)
 
 
 class TestBlockwiseMatchesWholeBuffer:

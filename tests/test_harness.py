@@ -3,7 +3,7 @@
 from pathlib import Path
 
 
-def test_failing_hypothesis_test_leaves_the_session_running(pytester):
+def test_failing_hypothesis_test_leaves_the_session_running(pytester, capsys):
     # under -W error, a failing example once ended the session with
     # INTERNALERROR: the hypothesis plugin's report hook touches
     # mypy_extensions.TypedDict, which warns. The next test must still run
@@ -19,5 +19,8 @@ def test_failing_hypothesis_test_leaves_the_session_running(pytester):
             pass
     """)
     result = pytester.runpytest("-W", "error", "-p", "no:cacheprovider")
+    # pytester echoes the inner session's report, failure and all; under the
+    # ini's -s it would reach the outer session's output as if its own
+    capsys.readouterr()
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
