@@ -55,9 +55,6 @@ from .filters import (
     pole_report,
     run_pipeline,
     trim_ends,
-    zff_pipeline,
-    zfr_pipeline,
-    zpzfr_pipeline,
 )
 from .io import (
     EmptyAudio,
@@ -105,6 +102,5 @@ __all__ = [
     "pole_report", "read_epochs_csv", "read_wav", "run_daemon",
     "run_pipeline", "speaker", "synth_voice", "trim_ends", "validate_signal",
     "verify_once", "write_epochs_csv", "write_epochs_json",
-    "write_response_csv", "write_score_json", "write_wav", "zff_pipeline",
-    "zfr_pipeline", "zpzfr_pipeline",
+    "write_response_csv", "write_score_json", "write_wav",
 ]

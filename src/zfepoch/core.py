@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -154,7 +155,7 @@ def positive_count(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class EpochSequence:
-    """Strictly increasing instants (seconds) marking glottal closures."""
+    """Finite, strictly increasing instants (seconds) marking glottal closures."""
 
     times_s: np.ndarray
     source_sample_rate_hz: float
@@ -163,8 +164,13 @@ class EpochSequence:
         times = np.asarray(self.times_s, dtype=np.float64)
         if times.ndim != 1:
             times = times.reshape(-1)
-        if len(times) and not np.all(np.diff(times) > 0.0):
+        # compared, not differenced: inf - inf would warn before the raise
+        if not np.all(times[1:] > times[:-1]):
             raise BadSequence("epoch times must be strictly increasing")
+        # increasing times lie between the first and the last, and a NaN
+        # fails the comparison above unless it is the only time
+        if len(times) and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+            raise BadSequence("epoch times must be finite")
         if not np.isfinite(self.source_sample_rate_hz) or self.source_sample_rate_hz <= 0.0:
             raise NonPositiveRate("source sample rate must be positive")
         times.flags.writeable = False

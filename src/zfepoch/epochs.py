@@ -51,21 +51,6 @@ class EvalReport:
 _BAND = 1e-10
 
 
-def _by_block(n: int, find) -> list:
-    """find(i, j) for each block of _BLOCK samples of range(n), in order.
-
-    The blocks run through _run_blocks. Each result depends only on its
-    own block, so the list does not depend on the workers.
-    """
-    found = {}
-
-    def block(i: int, j: int) -> None:
-        found[i] = find(i, j)
-
-    _run_blocks(n, _BLOCK, block)
-    return [found[i] for i in sorted(found)]
-
-
 def _band(y: np.ndarray) -> float:
     """_BAND times max(y.max(), -y.min()), read block by block.
 
@@ -79,7 +64,7 @@ def _band(y: np.ndarray) -> float:
         check_finite(top)
         return top.max()
 
-    return _BAND * max(_by_block(len(y), extremes))
+    return _BAND * max(_run_blocks(len(y), _BLOCK, extremes))
 
 
 def _next_outside(y: np.ndarray, i: int, band: float) -> int:
@@ -121,7 +106,7 @@ def detect_positive_zero_crossings(filtered: SampledSignal) -> EpochSequence:
             p[noise] = np.append(outside, -1 - i)[np.searchsorted(outside, p[noise])]
         return k + i, p + i
 
-    k, p = (np.concatenate(parts) for parts in zip(*_by_block(n, exits)))
+    k, p = (np.concatenate(parts) for parts in zip(*_run_blocks(n, _BLOCK, exits)))
     # only a block's last exit can run into the blocks after it
     for t in np.flatnonzero(p < 0):
         p[t] = _next_outside(y, k[t] + 1, band)
@@ -157,7 +142,8 @@ def detect_negative_peaks(filtered: SampledSignal) -> EpochSequence:
         shift = np.clip(0.5 * (y[k - 1] - y[k + 1]) / curvature, -0.5, 0.5)
         return filtered.start_time_s + (k + shift) / filtered.sample_rate_hz
 
-    return EpochSequence(np.concatenate(_by_block(n - 2, minima)), filtered.sample_rate_hz)
+    return EpochSequence(np.concatenate(_run_blocks(n - 2, _BLOCK, minima)),
+                         filtered.sample_rate_hz)
 
 
 def extract_epochs(

@@ -13,18 +13,20 @@ Three related methods share one recursion, a double pole near 0 Hz:
   over the whole buffer, squaring the magnitude and cancelling the
   phase exactly. Non-causal, zero phase.
 
-Every pipeline optionally first-differences the input (pre-emphasis),
-filters, and trims the edge anomaly; each stage returns a SampledSignal
-whose start_time_s keeps epoch times in original-recording coordinates.
-A pipeline reads its input's samples for finiteness once, at entry
-(validate_signal: one sum, no mask). No stage re-checks the arrays the
-pipeline makes; detrend checks each block of its output, and zfr and
-zff check their output once, so a NaN or inf found there means that a
-filter overflowed, and is reported as that.
+run_pipeline is the one runner for all three methods. It optionally
+first-differences the input (pre-emphasis), filters, detrends and trims
+the edge anomaly; each stage returns a SampledSignal whose start_time_s
+keeps epoch times in original-recording coordinates.
+The runner reads its input's samples for finiteness once, at entry
+(validate_signal: one sum, no mask). No stage re-checks an array the
+runner makes as a whole: each FIR frame and each detrend block checks
+its own output while it is in cache, and only a recursive tail, which
+no frame sees, is checked once after it runs. So a NaN or inf found
+there means that a filter overflowed, and is reported as that.
 zpzfr resonates, then detrends. zfr and zff share one causal path: a
 detrend window has a double zero at z = 1, so the cascade and the first
 two passes are one FIR and two radius-r sections whose zeros at z = 1
-meet its poles (see _causal_pipeline). At r < 1 the sections decay and
+meet its poles (see run_pipeline). At r < 1 the sections decay and
 are folded into the kernel, so zfr's whole filter is one FIR (3057
 taps at 16 kHz and r = 0.97); at r = 1 they cancel, and zff's kernel is the FIR alone.
 No stage carries the cascade's trend, so precision does not depend on
@@ -38,7 +40,7 @@ input-sized arrays. zfr and zff compute their FIR by FFT overlap-save,
 to the tolerance _fft_fir states; their input carries no trend. Each
 frame differences its own slice of the raw input, so no pre-emphasized
 copy is made, and the FIR's output is the one input-sized array a zfr
-or zff extraction adds (zff at one pass adds two; see _causal_pipeline):
+or zff extraction adds (zff at one pass adds two; see run_pipeline):
 with the detector's masks a block long, it peaks at about 1.1 inputs.
 A frame holds _FRAME samples or eight kernel lengths, whichever is
 more: 32768 for both zff and zfr (eight of zfr's 3057 taps are 24456);
@@ -81,7 +83,6 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,11 +185,6 @@ def differentiate(signal: SampledSignal) -> SampledSignal:
     instant one sample period after the input's start.
     """
     validate_signal(signal)
-    return _differenced(signal)
-
-
-def _differenced(signal: SampledSignal) -> SampledSignal:
-    # differentiate without reading the samples for finiteness first
     if len(signal) < 2:
         raise TooShort("differentiate needs at least 2 samples")
     return SampledSignal(
@@ -227,38 +223,43 @@ def _worker_count(blocks: int) -> int:
     return max(1, min(cpus, _MAX_WORKERS, blocks))
 
 
-def _run_blocks(n: int, size: int, block) -> None:
-    """block(i, j) over range(n) cut every size samples.
+def _run_blocks(n: int, size: int, block) -> list:
+    """[block(i, j) for each piece [i, j) of range(n) cut every size samples].
 
     Worker k of w = _worker_count(ceil(n / max(size, _BLOCK))) runs
     piece k, then takes the next piece that no worker has taken, so a
     worker whose CPU is busy with other work runs fewer pieces and the
     stage does not wait for it. The pieces do not depend on w or on
-    the worker that runs them. The caller is worker 0; the others run
-    on a pool that this call opens and joins, so none outlives it, and
-    an exception in any piece is raised here.
+    the worker that runs them, and the results are in piece order,
+    whichever worker ran a piece and whenever it finished. The caller
+    is worker 0; the others run on a pool that this call opens and
+    joins, so none outlives it, and an exception in any piece is raised
+    here.
     """
     w = _worker_count(-(-n // max(size, _BLOCK)))
     # the starts of the pieces after the first w, last first; list.pop
     # is atomic under the GIL, so no two workers take the same piece
     rest = list(range(w * size, n, size))[::-1]
+    results = [None] * -(-n // size)
 
     def work(k: int) -> None:
         i = k * size
         while i < n:
-            block(i, min(i + size, n))
+            results[i // size] = block(i, min(i + size, n))
             try:
                 i = rest.pop()
             except IndexError:
                 return
 
     if w == 1:
-        return work(0)
+        work(0)
+        return results
     with ThreadPoolExecutor(w - 1, thread_name_prefix="zfepoch") as pool:
         helpers = [pool.submit(work, k) for k in range(1, w)]
         work(0)
         for future in helpers:
             future.result()
+    return results
 
 
 def _fft_fir(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, difference: bool = False):
@@ -276,7 +277,8 @@ def _fft_fir(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, difference: boo
     1e-10 of max|out|; where the direct sum is exactly 0, over digital
     silence, it leaves rounding noise, which the detectors' band reads
     as 0 (see epochs). A frame's spectrum sums up to a frame of samples,
-    so it overflows sooner than a direct sum.
+    so it overflows sooner than a direct sum. Each frame checks its
+    output while it is in cache, and raises NonFinite on an overflow.
     """
     m = len(kernel)
     n = len(x) - difference
@@ -303,10 +305,12 @@ def _fft_fir(x: np.ndarray, kernel: np.ndarray, out: np.ndarray, difference: boo
         spec = rfft(frame)
         # each thread then holds two frame-sized arrays, not three
         del frame
-        # errstate is per thread; the caller sees an overflow as inf or NaN
+        # errstate is per thread; an overflow shows as inf or NaN below
         with np.errstate(over="ignore", invalid="ignore"):
             spec *= spectrum
         out[t:j] = irfft(spec, size, overwrite_x=True)[m - 1 : m - 1 + j - t]
+        if not all_finite(out[t:j]):
+            raise NonFinite("the FIR overflowed; scale the input down")
 
     _run_blocks(len(out), hop, frame_out)
 
@@ -455,7 +459,7 @@ def _section_pieces(r: float, u: np.ndarray, out: np.ndarray, zi: np.ndarray, k:
     output is the same at any thread count; an input of one piece is
     one lfilter call from zi, the arithmetic of a whole-buffer
     recursion. The warm-up states are found before any piece writes, so
-    out may be u. Returns the final state.
+    out may be u. Returns the last piece's final state.
     """
     n = len(u)
     size = max(_BLOCK, 8 * k)
@@ -472,16 +476,13 @@ def _section_pieces(r: float, u: np.ndarray, out: np.ndarray, zi: np.ndarray, k:
             before = head[:-1] @ reversed_response[2:]
             # lfilter's state after the outputs before and last
             states[i] = np.array([2.0 * r * last - r * r * before, -r * r * last])
-    final = [zi]
 
-    def piece(i: int, j: int) -> None:
+    def piece(i: int, j: int) -> np.ndarray:
         y, state = lfilter(*section, u[i:j], zi=states[i])
         out[i:j] = y
-        if j == n:
-            final[0] = state
+        return state
 
-    _run_blocks(n, size, piece)
-    return final[0]
+    return _run_blocks(n, size, piece)[-1]
 
 
 def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
@@ -513,27 +514,6 @@ def _zero_phase_double_pole(x: np.ndarray, r: float) -> np.ndarray:
     _, state = lfilter(*section, ring[::-1], zi=np.zeros(2))
     _section_pieces(r, y[::-1], y[::-1], state, k)
     return y
-
-
-@contextmanager
-def _pipeline_input(signal: SampledSignal, config: FilterConfig, method: str):
-    """Check config.method and the input, once, and yield the input.
-
-    This is the pipeline's one check of the input's samples; no stage
-    checks the arrays the pipeline makes from them. So a NonFinite from
-    any stage, or from the pipeline's check of its output, means that a
-    filter overflowed float64, and is reported as that.
-    """
-    if config.method != method:
-        raise BadMethod(f"config.method is {config.method!r}, expected {method!r}")
-    validate_signal(signal)
-    if config.preemphasis and len(signal) < 2:
-        raise TooShort("differentiate needs at least 2 samples")
-    try:
-        with np.errstate(over="ignore"):
-            yield signal
-    except NonFinite:
-        raise NonFinite(f"the {method} filter overflowed; scale the input down") from None
 
 
 def _zff_kernel(n_half: int, passes: int) -> np.ndarray:
@@ -569,7 +549,7 @@ def _section_response(b: tuple[float, ...], r: float) -> np.ndarray | None:
 
 @functools.lru_cache(maxsize=16)
 def _causal_filter(n_half: int, m: int, r: float):
-    """(kernel, recursive) of _causal_pipeline.
+    """(kernel, recursive) of run_pipeline's causal path.
 
     kernel is q^m convolved with the folded sections' responses;
     recursive lists the sections (b, a) left to run recursively. Cached,
@@ -591,100 +571,88 @@ def _causal_filter(n_half: int, m: int, r: float):
     return kernel, tuple(recursive)
 
 
-def _causal_pipeline(signal: SampledSignal, config: FilterConfig, method: str) -> SampledSignal:
-    """Difference, the cascade 1/(1 - r z^-1)^4, the detrend passes, trim.
-
-    Two detrend windows are z^2N q^2 (1 - z^-1)^4, so the cascade and the
-    first m = min(passes, 2) passes are the FIR q^m, then the sections
-    (1 - z^-1)^2 / (1 - r z^-1)^2 and (1 - z^-1)^(2m-2) / (1 - r z^-1)^2.
-    A section whose zeros cancel its poles (r = 1) is skipped. One whose
-    response decays (r < 1) is folded into the kernel, truncated where
-    it stays below _FOLD_EPS of its peak: zfr's whole filter is then one
-    FIR, q^m convolved with the two responses, 3057 taps at 16 kHz and
-    r = 0.97. A section that does not decay (zff's double integrator at
-    one pass) runs recursively after the FIR. Output sample i is sample
-    i + m*N of that run. The FIR runs by FFT overlap-save, which its
-    input, carrying no trend, allows; pre-emphasis runs inside its
-    frames. A section left recursive multiplies the FFT's rounding noise
-    by its DC gain, 1 / (1 - r)^2: 1e6 at r = 0.999, where zfr at one
-    pass runs both sections recursively and lands within 1e-9 of the
-    direct computation's peak, not 1e-10. At r = 1 that gain is
-    unbounded: zff at one pass drifted from an extended-precision run
-    by a share of the peak that grows with the input's length, 6.5e-9
-    at 50 s of voice. So pre-emphasis and the double integrator run as
-    what they are together, one integrator over x[k + 1] - x[0], held at
-    its last value past the end: a second input-sized array, and a drift
-    of 2.1e-12. Further passes run as detrend: folded into the FIR they
-    cost precision. The output is checked for finiteness once, before
-    the trim. Samples within passes*N of either end (before the trim)
-    see a zero-extended input where detrend truncates its window; they
-    survive only when round(trim_s * fs) < passes*N: trim_s = 0, three
-    or more passes, or 11.025 kHz by default.
-    """
-    with _pipeline_input(signal, config, method):
-        x, fs, pre = signal.samples, signal.sample_rate_hz, config.preemphasis
-        m = min(config.detrend_passes, 2)
-        n_half = _window_half_width(len(x) - pre, fs, config.detrend_window_s)
-        kernel, recursive = _causal_filter(n_half, m, config.r)
-        # recursive sections need the leading m*N samples for their state
-        y = np.empty(m * n_half + len(x) - pre)
-        if pre and recursive == (((1.0,), (1.0, -2.0, 1.0)),):
-            # zff at one pass: the difference and the double integrator
-            # are one integrator over x[k + 1] - x[0] (see above)
-            x0, x = x[0], np.concatenate((x[1:], np.full(m * n_half, x[-1])))
-            x -= x0
-            pre, recursive = False, (((1.0,), (1.0, -1.0)),)
-        _fft_fir(x, kernel, y, pre)
-        if recursive:
-            _lfilter_blocks(recursive, y, y)
-        start = signal.start_time_s + 1.0 / fs if config.preemphasis else signal.start_time_s
-        # rebinding out frees each stage's array once the next has its output
-        out = SampledSignal(y[m * n_half :], fs, start)
-        for _ in range(config.detrend_passes - 2):
-            out = detrend(out, config.detrend_window_s)
-        check_finite(out.samples)
-        return _trimmed(out, config.trim_s)
-
-
-def zfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    """Causal radius-r pipeline: difference, resonate, detrend, trim."""
-    return _causal_pipeline(signal, config, "zfr")
-
-
-def zff_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    """Unit-circle pipeline: zfr's causal path at r = 1, as zff's config pins."""
-    return _causal_pipeline(signal, config, "zff")
-
-
-def zpzfr_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    """Zero-phase pipeline: forward-backward resonate, detrend, trim.
-
-    Pre-emphasis is off by default for this method; the symmetric,
-    zero-phase output puts a clean negative peak at each excitation
-    instant, and a first-difference stage would skew that symmetry.
-    """
-    with _pipeline_input(signal, config, "zpzfr") as out:
-        if config.preemphasis:
-            out = _differenced(out)
-        out = SampledSignal(
-            _zero_phase_double_pole(out.samples, config.r), out.sample_rate_hz, out.start_time_s
-        )
-        for _ in range(config.detrend_passes):
-            out = detrend(out, config.detrend_window_s)
-        # detrend checked each block of its output
-        return _trimmed(out, config.trim_s)
-
-
-_PIPELINES = {
-    "zfr": zfr_pipeline,
-    "zff": zff_pipeline,
-    "zpzfr": zpzfr_pipeline,
-}
-
-
 def run_pipeline(signal: SampledSignal, config: FilterConfig) -> SampledSignal:
-    """Dispatch to the pipeline named by config.method."""
-    return _PIPELINES[config.method](signal, config)
+    """Pre-emphasize, filter, detrend and trim, as config.method says.
+
+    The input's samples are checked for finiteness once, at entry; no
+    stage checks the arrays the runner makes from them as a whole. So a
+    NonFinite from any stage means that a filter overflowed float64, and
+    is reported as that.
+
+    zpzfr runs the zero-phase section (_zero_phase_double_pole), then
+    every detrend pass. Its pre-emphasis is off by default: the
+    symmetric, zero-phase output puts a clean negative peak at each
+    excitation instant, and a first-difference stage would skew that
+    symmetry.
+
+    zfr and zff run the cascade 1/(1 - r z^-1)^4 and the first
+    m = min(passes, 2) detrend passes as one causal filter. Two detrend
+    windows are z^2N q^2 (1 - z^-1)^4, so that filter is the FIR q^m,
+    then the sections (1 - z^-1)^2 / (1 - r z^-1)^2 and
+    (1 - z^-1)^(2m-2) / (1 - r z^-1)^2. A section whose zeros cancel
+    its poles (r = 1) is skipped. One whose response decays (r < 1) is
+    folded into the kernel, truncated where it stays below _FOLD_EPS of
+    its peak: zfr's whole filter is then one FIR, q^m convolved with the
+    two responses, 3057 taps at 16 kHz and r = 0.97. A section that does
+    not decay (zff's double integrator at one pass) runs recursively
+    after the FIR, and its output, which no FIR frame sees, is checked
+    for finiteness once. Output sample i is sample i + m*N of that run.
+    The FIR runs by FFT overlap-save, which its input, carrying no
+    trend, allows; pre-emphasis runs inside its frames. A section left
+    recursive multiplies the FFT's rounding noise by its DC gain,
+    1 / (1 - r)^2: 1e6 at r = 0.999, where zfr at one pass runs both
+    sections recursively and lands within 1e-9 of the direct
+    computation's peak, not 1e-10. At r = 1 that gain is unbounded: zff
+    at one pass drifted from an extended-precision run by a share of the
+    peak that grows with the input's length, 6.5e-9 at 50 s of voice. So
+    pre-emphasis and the double integrator run as what they are
+    together, one integrator over x[k + 1] - x[0], held at its last
+    value past the end: a second input-sized array, and a drift of
+    2.1e-12. Further passes run as detrend: folded into the FIR they
+    cost precision. Samples within passes*N of either end (before the
+    trim) see a zero-extended input where detrend truncates its window;
+    they survive only when round(trim_s * fs) < passes*N: trim_s = 0,
+    three or more passes, or 11.025 kHz by default.
+    """
+    validate_signal(signal)
+    x, fs, pre = signal.samples, signal.sample_rate_hz, config.preemphasis
+    if pre and len(x) < 2:
+        raise TooShort("differentiate needs at least 2 samples")
+    start = signal.start_time_s + 1.0 / fs if pre else signal.start_time_s
+    try:
+        # an overflow, and the inf - inf after it, shows as inf or NaN
+        # in a stage's check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.method == "zpzfr":
+                y = _zero_phase_double_pole(np.diff(x) if pre else x, config.r)
+                passes = config.detrend_passes
+            else:
+                m = min(config.detrend_passes, 2)
+                n_half = _window_half_width(len(x) - pre, fs, config.detrend_window_s)
+                kernel, recursive = _causal_filter(n_half, m, config.r)
+                # recursive sections need the leading m*N samples for their state
+                y = np.empty(m * n_half + len(x) - pre)
+                if pre and recursive == (((1.0,), (1.0, -2.0, 1.0)),):
+                    # zff at one pass: the difference and the double integrator
+                    # are one integrator over x[k + 1] - x[0] (see above)
+                    x0, x = x[0], np.concatenate((x[1:], np.full(m * n_half, x[-1])))
+                    x -= x0
+                    pre, recursive = False, (((1.0,), (1.0, -1.0)),)
+                _fft_fir(x, kernel, y, pre)
+                if recursive:
+                    _lfilter_blocks(recursive, y, y)
+                    check_finite(y)
+                y = y[m * n_half :]
+                passes = config.detrend_passes - 2
+            # rebinding out frees each stage's array once the next has its
+            # output, so no local may hold one
+            out = SampledSignal(y, fs, start)
+            del y
+            for _ in range(passes):
+                out = detrend(out, config.detrend_window_s)
+    except NonFinite:
+        raise NonFinite(f"the {config.method} filter overflowed; scale the input down") from None
+    return _trimmed(out, config.trim_s)
 
 
 def _check_omega(omega: np.ndarray) -> np.ndarray:

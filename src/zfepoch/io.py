@@ -114,7 +114,7 @@ def write_epochs_csv(epochs: EpochSequence, path) -> None:
 def read_epochs_csv(path, source_sample_rate_hz: float = 16000.0) -> EpochSequence:
     """Parse an epoch CSV written by write_epochs_csv.
 
-    Times that are not numbers or not strictly increasing raise
+    Times that are not finite numbers or not strictly increasing raise
     IoFailure. The CSV carries no sample rate; the caller supplies one
     for the record (the times alone drive all comparisons).
     """

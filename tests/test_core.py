@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zfepoch
 from zfepoch import (
     BadConfig,
     BadMethod,
     BadRadius,
+    BadSequence,
     DeltaSequence,
     EmptySignal,
     EpochSequence,
@@ -115,9 +117,21 @@ class TestEpochSequence:
     def test_empty_allowed(self):
         assert len(EpochSequence([], 16000.0)) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_non_finite_time_rejected(self, bad):
+        # one time has no neighbour to fail the increasing check against
+        with pytest.raises(BadSequence, match="finite"):
+            EpochSequence([bad], 16000.0)
+
     def test_positive_rate_required(self):
         with pytest.raises(NonPositiveRate):
             EpochSequence([0.1], 0.0)
+
+
+def test_every_exported_name_resolves_once():
+    # a deleted name left in __all__ would break `from zfepoch import *`
+    assert len(set(zfepoch.__all__)) == len(zfepoch.__all__)
+    assert [name for name in zfepoch.__all__ if not hasattr(zfepoch, name)] == []
 
 
 class TestDeltaSequence:

@@ -24,7 +24,6 @@ from scipy.fft import next_fast_len
 
 from zfepoch import (
     BadConfig,
-    BadMethod,
     BadRadius,
     FilterConfig,
     NonFinite,
@@ -47,9 +46,6 @@ from zfepoch import (
     speaker,
     synth_voice,
     trim_ends,
-    zff_pipeline,
-    zfr_pipeline,
-    zpzfr_pipeline,
 )
 from filter_oracle import (
     SEGMENT_THRESHOLD_S,
@@ -214,37 +210,30 @@ class TestTrimEnds:
             trim_ends(SampledSignal(np.ones(20), 1000.0), 0.015)
 
 
-@pytest.mark.parametrize("method,pipeline", [
-    ("zfr", zfr_pipeline), ("zff", zff_pipeline), ("zpzfr", zpzfr_pipeline),
-])
+@pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
 class TestPipelinesCommon:
-    def test_zeros_to_zeros(self, method, pipeline):
+    def test_zeros_to_zeros(self, method):
         sig = SampledSignal(np.zeros(8000), 16000.0)
-        out = pipeline(sig, FilterConfig(method))
+        out = run_pipeline(sig, FilterConfig(method))
         assert np.allclose(out.samples, 0.0, atol=1e-18)
 
-    def test_method_mismatch_rejected(self, method, pipeline):
-        other = {"zfr": "zff", "zff": "zpzfr", "zpzfr": "zfr"}[method]
-        with pytest.raises(BadMethod):
-            pipeline(SampledSignal(np.zeros(8000), 16000.0), FilterConfig(other))
-
-    def test_linearity(self, method, pipeline):
+    def test_linearity(self, method):
         rng = np.random.default_rng(7)
         fs = 8000.0
         x = rng.normal(size=800)
         y = rng.normal(size=800)
         a, b = 1.7, -0.6
         cfg = FilterConfig(method)
-        mixed = pipeline(SampledSignal(a * x + b * y, fs), cfg).samples
-        parts = a * pipeline(SampledSignal(x, fs), cfg).samples \
-            + b * pipeline(SampledSignal(y, fs), cfg).samples
+        mixed = run_pipeline(SampledSignal(a * x + b * y, fs), cfg).samples
+        parts = a * run_pipeline(SampledSignal(x, fs), cfg).samples \
+            + b * run_pipeline(SampledSignal(y, fs), cfg).samples
         scale = np.max(np.abs(parts))
         assert np.max(np.abs(mixed - parts)) / scale <= 1e-9
 
-    def test_output_offset_accounts_for_trim(self, method, pipeline):
+    def test_output_offset_accounts_for_trim(self, method):
         sig = SampledSignal(np.random.default_rng(0).normal(size=4000), 8000.0)
         cfg = FilterConfig(method)
-        out = pipeline(sig, cfg)
+        out = run_pipeline(sig, cfg)
         expected = round(cfg.trim_s * 8000) / 8000.0
         if cfg.preemphasis:
             expected += 1 / 8000.0
@@ -255,7 +244,7 @@ class TestZffBehavior:
     def test_voiced_signal_has_no_residual_trend(self):
         # output fluctuates about zero: the tail is not blowing up
         sig, _ = synth_voice(speaker("A", 0.1, seed=3))
-        out = zff_pipeline(sig, FilterConfig("zff")).samples
+        out = run_pipeline(sig, FilterConfig("zff")).samples
         fs = 16000
         last = np.max(np.abs(out[-int(0.01 * fs):]))
         middle = np.max(np.abs(out[len(out) // 2 - int(0.005 * fs):
@@ -272,7 +261,7 @@ class TestZffBehavior:
             SynthSpec(duration_s=duration, pitch_contour=100.0,
                       sample_rate_hz=fs, jitter_fraction=0.02, seed=5)
         )
-        fir = zff_pipeline(train, spec_cfg)
+        fir = run_pipeline(train, spec_cfg)
         segmented = old_zff_pipeline(train, spec_cfg)
 
         t_fir = detect_positive_zero_crossings(fir).times_s
@@ -308,7 +297,7 @@ class TestZffBehavior:
         # away from them the FIR and the direct reference agree
         x = np.random.default_rng(passes).normal(size=int(0.12 * fs))
         cfg = FilterConfig("zff", detrend_passes=passes, trim_s=0.0)
-        fir = zff_pipeline(SampledSignal(x, fs), cfg).samples
+        fir = run_pipeline(SampledSignal(x, fs), cfg).samples
         ref = old_zff_pipeline(SampledSignal(x, fs), cfg).samples
         assert len(fir) == len(ref)
         edge = passes * int(round(cfg.detrend_window_s * fs / 2.0))
@@ -384,7 +373,7 @@ class TestZfrBehavior:
         edge = passes * int(round(0.015 * fs / 2.0))
         for r in (0.95, 0.97, 0.99):
             cfg = FilterConfig("zfr", r=r, detrend_passes=passes, trim_s=edge / fs)
-            got = zfr_pipeline(sig, cfg)
+            got = run_pipeline(sig, cfg)
             want = old_zfr_pipeline(sig, cfg)
             assert len(got) == len(want) and got.start_time_s == want.start_time_s
             err = np.max(np.abs(got.samples - want.samples))
@@ -398,23 +387,25 @@ class TestZfrBehavior:
 class TestValidateOnce:
     """An extraction reads its input for finiteness once, at entry.
 
-    No stage checks the arrays the pipeline makes: the causal pipelines
-    check their output once, and detrend checks each block of its
-    output. A public stage called on its own still rejects a NaN or an
-    infinity, wherever it sits.
+    No stage checks the arrays the runner makes as a whole: each FIR
+    frame and each detrend block checks its own output, and only a
+    recursive tail (zff at one pass) is checked once after it runs. A
+    public stage called on its own still rejects a NaN or an infinity,
+    wherever it sits.
     """
 
     N = 5 * _BLOCK + 123
 
-    @pytest.mark.parametrize("method,passes,most", [
-        ("zfr", 1, 3), ("zfr", 2, 3), ("zfr", 3, 3), ("zff", 1, 3), ("zff", 2, 3),
-        ("zff", 3, 3), ("zpzfr", 2, 2),
+    @pytest.mark.parametrize("method,passes,count", [
+        ("zfr", 1, 1), ("zfr", 2, 1), ("zfr", 3, 1), ("zff", 1, 2), ("zff", 2, 1),
+        ("zff", 3, 1), ("zpzfr", 2, 1),
     ])
-    def test_full_length_finiteness_passes(self, monkeypatch, method, passes, most):
-        # a pass reads at least half the input; detrend's and the
-        # detectors' block checks read a block at a time, in cache, and
-        # do not count (see test_detectors_check_only_blocks). A finite
-        # input never needs a whole-array isfinite mask
+    def test_full_length_finiteness_passes(self, monkeypatch, method, passes, count):
+        # a pass reads at least half the input: the entry check, and zff's
+        # recursive tail at one pass. The FIR frames', detrend's and the
+        # detectors' checks read a frame or a block at a time, in cache,
+        # and do not count (see test_detectors_check_only_blocks). A
+        # finite input never needs a whole-array isfinite mask
         sig = SampledSignal(np.random.default_rng(4).normal(size=self.N), 16000.0)
         real_check, real_isfinite = core.all_finite, np.isfinite
         checks, masks = [], []
@@ -431,7 +422,7 @@ class TestValidateOnce:
         monkeypatch.setattr(filters, "all_finite", check)
         monkeypatch.setattr(np, "isfinite", isfinite)
         extract_epochs(sig, FilterConfig(method, detrend_passes=passes))
-        assert 1 <= sum(n >= self.N // 2 for n in checks) <= most
+        assert sum(n >= self.N // 2 for n in checks) == count
         assert max(masks) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -481,6 +472,30 @@ class TestInputRange:
             with pytest.raises(NonFinite, match=f"^the {method} filter overflowed"):
                 run_pipeline(SampledSignal(sig.samples * scale, sig.sample_rate_hz),
                              FilterConfig(method))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_overflow_across_resonator_pieces_is_reported(self, monkeypatch, workers):
+        # each zpzfr piece after the first starts from a warm-up state, two
+        # dot products that overflow here and then read inf - inf
+        _use_workers(monkeypatch, workers)
+        x = np.random.default_rng(0).normal(size=2 * _BLOCK) * 1e305
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="^the zpzfr filter overflowed"):
+                run_pipeline(SampledSignal(x, 16000.0), FilterConfig("zpzfr"))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_overflow_in_the_recursive_tail_is_reported(self, monkeypatch, workers):
+        # zff at one pass integrates the FIR's output after each frame has
+        # checked its own: a step of 1e300 keeps every frame finite, and
+        # its integral passes float64 within 5 s
+        _use_workers(monkeypatch, workers)
+        x = np.full(80000, 1e300)
+        x[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="^the zff filter overflowed"):
+                run_pipeline(SampledSignal(x, 16000.0), FilterConfig("zff", detrend_passes=1))
 
     @pytest.mark.parametrize("method", ["zfr", "zff", "zpzfr"])
     def test_overflowing_pre_emphasis_is_reported_as_overflow(self, method):
@@ -907,14 +922,17 @@ class TestThreadedBlocks:
         _use_workers(monkeypatch, 4)
         monkeypatch.setattr(filters, "_BLOCK", 64)
         ran = []
+        pieces = [(i, min(i + 64, 500 * 64 + 7)) for i in range(0, 500 * 64 + 7, 64)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 ran.clear()
-                filters._run_blocks(500 * 64 + 7, 64, lambda i, j: ran.append((i, j)))
-                assert sorted(ran) == [(i, min(i + 64, 500 * 64 + 7))
-                                       for i in range(0, 500 * 64 + 7, 64)]
+                got = filters._run_blocks(500 * 64 + 7, 64,
+                                          lambda i, j: ran.append((i, j)) or (i, j))
+                assert sorted(ran) == pieces
+                # the results come back in piece order, not in the order run
+                assert got == pieces
         finally:
             sys.setswitchinterval(interval)
 
@@ -928,9 +946,12 @@ class TestThreadedBlocks:
             if threading.current_thread() is not threading.main_thread():
                 helper.append(i)
                 time.sleep(0.05)
+            return i
 
-        filters._run_blocks(20 * _BLOCK, _BLOCK, block)
+        # the helper's pieces finish last, and their results keep their place
+        got = filters._run_blocks(20 * _BLOCK, _BLOCK, block)
         assert helper[:1] == [_BLOCK] and len(helper) <= 3
+        assert got == list(range(0, 20 * _BLOCK, _BLOCK))
 
     def test_caller_exception_waits_for_the_helpers(self, monkeypatch):
         # no helper may still write to an output once _run_blocks returns
@@ -1085,33 +1106,23 @@ class TestZpzfrSymmetry:
         rng = np.random.default_rng(11)
         half = rng.normal(size=8000)
         pal = np.concatenate([half, half[::-1]])
-        out = zpzfr_pipeline(SampledSignal(pal, 16000.0), FilterConfig("zpzfr")).samples
+        out = run_pipeline(SampledSignal(pal, 16000.0), FilterConfig("zpzfr")).samples
         assert np.max(np.abs(out - out[::-1])) <= 1e-9 * np.max(np.abs(out))
 
     def test_reversal_equivariance(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=6000)
         cfg = FilterConfig("zpzfr")
-        fwd = zpzfr_pipeline(SampledSignal(x, 16000.0), cfg).samples
-        rev = zpzfr_pipeline(SampledSignal(x[::-1], 16000.0), cfg).samples
+        fwd = run_pipeline(SampledSignal(x, 16000.0), cfg).samples
+        rev = run_pipeline(SampledSignal(x[::-1], 16000.0), cfg).samples
         assert np.max(np.abs(rev - fwd[::-1])) <= 1e-9 * np.max(np.abs(fwd))
 
     def test_preemphasis_configurable_on(self):
         # spec'd composition with the differentiator stage is reachable
         cfg = FilterConfig("zpzfr", preemphasis=True)
         sig = SampledSignal(np.random.default_rng(1).normal(size=4000), 8000.0)
-        out = zpzfr_pipeline(sig, cfg)
+        out = run_pipeline(sig, cfg)
         assert len(out) > 0 and cfg.preemphasis
-
-
-class TestRunPipeline:
-    def test_dispatch(self):
-        sig = SampledSignal(np.random.default_rng(2).normal(size=4000), 8000.0)
-        for method, pipeline in [("zfr", zfr_pipeline), ("zff", zff_pipeline),
-                                 ("zpzfr", zpzfr_pipeline)]:
-            cfg = FilterConfig(method)
-            assert np.array_equal(run_pipeline(sig, cfg).samples,
-                                  pipeline(sig, cfg).samples)
 
 
 class TestFrequencyResponse:

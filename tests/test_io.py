@@ -203,7 +203,8 @@ class TestEpochsCsv:
         with pytest.raises(IoFailure):
             read_epochs_csv(path)
 
-    @pytest.mark.parametrize("body", ["0.1\nabc\n", "0.2\n0.1\n", "0.1\nnan\n"])
+    @pytest.mark.parametrize("body", ["0.1\nabc\n", "0.2\n0.1\n", "0.1\nnan\n", "nan\n", "inf\n",
+                                      "inf\ninf\n"])
     def test_bad_times_raise_io_failure(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text("time_s\n" + body)
